@@ -18,8 +18,10 @@ from itertools import product
 from typing import Callable, Dict, List, Optional
 
 from . import models
-from .bench import ALGORITHMS, fit_scaling_exponent, run_suite, write_csv
-from .datagen import DatasetSpec, derive_seed, generate
+from .bench import ALGORITHMS, fit_scaling_exponent, run_suite, run_trial, write_csv
+from .datagen import DatasetSpec, derive_seed
+# Unused here; kept because perfbench/tracing.py wraps acceptance.generate by name.
+from .datagen import generate  # noqa: F401
 from .stats import SortStats
 
 BASE_SEED = 20210621
@@ -42,23 +44,14 @@ class CheckResult:
 Cache = Dict[str, object]
 
 
-def _counts(algo: str, spec: DatasetSpec) -> SortStats:
-    work = generate(spec)
-    stats = SortStats()
-    ALGORITHMS[algo](work, stats=stats)
-    if work != sorted(work):
-        raise AssertionError(f"{algo} failed to sort {spec!r}")
-    return stats
-
-
 def _mean_counts(algo: str, kind: str, n: int, label: str, trials: int = AVG_TRIALS):
     comps = []
     assigns = []
     for t in range(trials):
         seed = derive_seed(BASE_SEED, label, algo, kind, n, t)
-        st = _counts(algo, DatasetSpec(kind, n, seed=seed))
-        comps.append(st.comparisons)
-        assigns.append(st.assignments)
+        rec = run_trial(algo, DatasetSpec(kind, n, seed=seed))
+        comps.append(rec.comparisons)
+        assigns.append(rec.assignments)
     return statistics.fmean(comps), statistics.fmean(assigns)
 
 
@@ -97,15 +90,15 @@ def check_correctness(cache: Cache) -> CheckResult:
 def check_all_equal_linear(cache: Cache) -> CheckResult:
     worst = 0.0
     for n in (10**3, 10**4, 10**5, 10**6):
-        st = _counts("bcis", DatasetSpec("equal", n, seed=derive_seed(BASE_SEED, "eq", n)))
-        if st.comparisons > 2 * n or st.sort_trips != 1 or not st.terminated_by_equal:
+        rec = run_trial("bcis", DatasetSpec("equal", n, seed=derive_seed(BASE_SEED, "eq", n)))
+        if rec.comparisons > 2 * n or rec.sort_trips != 1 or not rec.terminated_by_equal:
             return CheckResult(
                 2,
                 "all-equal linearity",
                 False,
-                f"n={n}: comps={st.comparisons} trips={st.sort_trips}",
+                f"n={n}: comps={rec.comparisons} trips={rec.sort_trips}",
             )
-        worst = max(worst, st.comparisons / n)
+        worst = max(worst, rec.comparisons / n)
     return CheckResult(
         2, "all-equal linearity", True, f"comps <= 2n (max comps/n={worst:.3f}), 1 trip"
     )
@@ -114,8 +107,8 @@ def check_all_equal_linear(cache: Cache) -> CheckResult:
 def check_sorted_bound(cache: Cache) -> CheckResult:
     ratios = {}
     for n in (10**4, 10**5):
-        st = _counts("bcis", DatasetSpec("sorted", n))
-        ratios[n] = st.comparisons / n
+        rec = run_trial("bcis", DatasetSpec("sorted", n))
+        ratios[n] = rec.comparisons / n
         if not 2 <= ratios[n] <= 6:
             return CheckResult(
                 3, "sorted-array bound", False, f"n={n}: comps/n={ratios[n]:.3f}"
@@ -127,8 +120,8 @@ def check_sorted_bound(cache: Cache) -> CheckResult:
 def check_reverse_bound(cache: Cache) -> CheckResult:
     ratios = {}
     for n in (10**3, 10**4):
-        st = _counts("bcis", DatasetSpec("reverse", n))
-        ratios[n] = st.comparisons / models.bcis_worst_reverse(n)
+        rec = run_trial("bcis", DatasetSpec("reverse", n))
+        ratios[n] = rec.comparisons / models.bcis_worst_reverse(n)
         if not 0.8 <= ratios[n] <= 1.3:
             return CheckResult(
                 4, "reverse-sorted bound", False, f"n={n}: ratio={ratios[n]:.3f}"
@@ -143,14 +136,14 @@ def check_worst_construction(cache: Cache) -> CheckResult:
         target = models.bcis_worst_small(n)
         for t in range(AVG_TRIALS):
             seed = derive_seed(BASE_SEED, "worst", n, t)
-            st = _counts("bcis", DatasetSpec("worst_small", n, seed=seed))
-            ratio = st.comparisons / target
+            rec = run_trial("bcis", DatasetSpec("worst_small", n, seed=seed))
+            ratio = rec.comparisons / target
             if not 0.9 <= ratio <= 1.1:
                 return CheckResult(
                     5,
                     "small-n worst construction",
                     False,
-                    f"n={n} seed#{t}: comps={st.comparisons} vs {target:.0f}",
+                    f"n={n} seed#{t}: comps={rec.comparisons} vs {target:.0f}",
                 )
             worst_ratio = max(worst_ratio, abs(ratio - 1))
     return CheckResult(
@@ -165,13 +158,13 @@ def check_best_construction(cache: Cache) -> CheckResult:
     for n in (10, 50, 99):
         for t in range(AVG_TRIALS):
             seed = derive_seed(BASE_SEED, "best", n, t)
-            st = _counts("bcis", DatasetSpec("best_small", n, seed=seed))
-            if st.comparisons > 3 * n or st.assignments > 3 * n:
+            rec = run_trial("bcis", DatasetSpec("best_small", n, seed=seed))
+            if rec.comparisons > 3 * n or rec.assignments > 3 * n:
                 return CheckResult(
                     6,
                     "small-n best construction",
                     False,
-                    f"n={n} seed#{t}: comps={st.comparisons} assigns={st.assignments} > 3n={3*n}",
+                    f"n={n} seed#{t}: comps={rec.comparisons} assigns={rec.assignments} > 3n={3*n}",
                 )
     return CheckResult(
         6, "small-n best construction", True, "comps and assigns <= 3n at n in {10,50,99}"

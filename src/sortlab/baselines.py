@@ -65,7 +65,6 @@ def quicksort_mo3(
     left: int = 1,
     right: Optional[int] = None,
     stats: Optional[SortStats] = None,
-    insertion_cutoff: int = 0,
 ) -> SortStats:
     """Median-of-three quicksort of seq[left..right], ascending, in place.
 
@@ -73,29 +72,21 @@ def quicksort_mo3(
     last elements, chosen by sorting those three in place (ties resolved
     toward the lower index).  Partitioning scans stop on elements equal
     to the pivot, which keeps splits balanced on duplicate-heavy input.
-
-    ``insertion_cutoff`` > 0 finishes partitions at or below that size
-    with insertion sort; the default leaves quicksort pure.
     """
     if stats is None:
         stats = SortStats()
     if right is None:
         right = len(seq)
     _check_range(seq, left, right)
-    _qsort(seq, left, right, stats, insertion_cutoff)
+    _qsort(seq, left, right, stats)
     return stats
 
 
-def _qsort(
-    seq: MutableSequence, lo: int, hi: int, stats: SortStats, cutoff: int
-) -> None:
+def _qsort(seq: MutableSequence, lo: int, hi: int, stats: SortStats) -> None:
     # Iterates on the larger partition and recurses into the smaller, so
     # the stack stays O(log n).
     while lo < hi:
         size = hi - lo + 1
-        if cutoff and size <= cutoff:
-            insertion_sort(seq, lo, hi, stats)
-            return
         if size == 2:
             stats.sort_trips += 1
             stats.comparisons += 1
@@ -141,8 +132,8 @@ def _qsort(
         swap(seq, i, hi - 1, stats)
 
         if i - lo < hi - i:
-            _qsort(seq, lo, i - 1, stats, cutoff)
+            _qsort(seq, lo, i - 1, stats)
             lo = i + 1
         else:
-            _qsort(seq, i + 1, hi, stats, cutoff)
+            _qsort(seq, i + 1, hi, stats)
             hi = i - 1

@@ -8,7 +8,7 @@ Subcommands::
     sortlab verify
 
 Exit codes: 0 success, 1 usage error, 2 verification/acceptance failure,
-3 I/O error.
+3 I/O error or malformed input CSV.
 """
 
 from __future__ import annotations
@@ -29,23 +29,12 @@ from .bench import (
     run_suite,
     write_csv,
 )
-from .datagen import DatasetSpec, DatasetSpecError, sweep_sizes
+from .datagen import KINDS, DatasetSpec, DatasetSpecError, sweep_sizes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_IO = 3
-
-#: CLI distribution names to dataset kinds.
-DISTS = {
-    "uniform": "uniform",
-    "sorted": "sorted",
-    "reverse": "reverse",
-    "equal": "equal",
-    "kdistinct": "k_distinct",
-    "best-small": "best_small",
-    "worst-small": "worst_small",
-}
 
 #: Deterministic inputs need a single trial; sampled ones default to 20.
 DETERMINISTIC_DISTS = ("sorted", "reverse", "equal")
@@ -70,11 +59,11 @@ def build_parser() -> _Parser:
         required=True,
         help="comma-separated subset of: " + ", ".join(ALGORITHMS),
     )
-    bench.add_argument("--dist", required=True, choices=sorted(DISTS))
+    bench.add_argument("--dist", required=True, choices=KINDS)
     bench.add_argument(
         "--n", required=True, help="comma list of sizes, or start:stop:factor"
     )
-    bench.add_argument("--k-param", type=int, help="distinct values (kdistinct only)")
+    bench.add_argument("--k-param", type=int, help="distinct values (k_distinct only)")
     bench.add_argument(
         "--trials",
         type=int,
@@ -97,7 +86,7 @@ def build_parser() -> _Parser:
     fit = sub.add_parser("fit", help="log-log scaling exponent from a trial CSV")
     fit.add_argument("--in", dest="infile", required=True)
     fit.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
-    fit.add_argument("--dist", required=True, choices=sorted(DISTS))
+    fit.add_argument("--dist", required=True, choices=KINDS)
     fit.add_argument(
         "--metric",
         required=True,
@@ -117,7 +106,6 @@ def _cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     if not algos or any(a not in ALGORITHMS for a in algos):
         raise UsageError(f"--algo must name algorithms among {tuple(ALGORITHMS)}")
-    kind = DISTS[args.dist]
     try:
         sizes = sweep_sizes(args.n)
     except ValueError as exc:
@@ -130,7 +118,7 @@ def _cmd_bench(args) -> int:
     grid = []
     for algo in algos:
         for n in sizes:
-            spec = DatasetSpec(kind, n, k_param=args.k_param)
+            spec = DatasetSpec(args.dist, n, k_param=args.k_param)
             grid.append((algo, spec, trials))
     try:
         records = run_suite(grid, mode=args.mode, base_seed=args.seed)
@@ -159,7 +147,7 @@ def _read_file(path: str):
     try:
         with open(path, "r", encoding="utf-8", newline="") as source:
             return read_csv(source)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _IOFailure(f"cannot read {path}: {exc}")
 
 
@@ -183,10 +171,9 @@ def _cmd_summary(args) -> int:
 
 def _cmd_fit(args) -> int:
     records = _read_file(args.infile)
-    kind = DISTS[args.dist]
     by_n = {}
     for rec in records:
-        if rec.algo == args.algo and rec.dist == kind:
+        if rec.algo == args.algo and rec.dist == args.dist:
             value = getattr(rec, args.metric)
             if value is None:
                 raise UsageError(f"records lack {args.metric}; rerun in another mode")

@@ -32,10 +32,3 @@ class SortStats:
     swaps: int = 0
     sort_trips: int = 0
     terminated_by_equal: bool = False
-
-    def reset(self) -> None:
-        self.comparisons = 0
-        self.assignments = 0
-        self.swaps = 0
-        self.sort_trips = 0
-        self.terminated_by_equal = False

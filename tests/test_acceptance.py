@@ -7,7 +7,7 @@ the per-criterion PASS/FAIL lines as they complete.
 
 import pytest
 
-from sortlab import acceptance
+from sortlab import acceptance, bench
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +72,14 @@ def test_criterion_11_timing_tables_reported(results):
 
 def test_criterion_12_determinism(results):
     _assert(results, 12)
+
+
+def test_gate_checks_the_multiset(monkeypatch):
+    def sorted_but_lossy(seq, stats=None):
+        seq.sort()
+        seq[0] = seq[1]  # still sorted, but the smallest item is lost
+        return stats
+
+    monkeypatch.setitem(bench.ALGORITHMS, "bcis", sorted_but_lossy)
+    with pytest.raises(bench.VerificationError):
+        acceptance.check_sorted_bound({})

@@ -87,13 +87,6 @@ class TestQuicksortMo3:
             quicksort_mo3(work, stats=SortStats())
             assert work == sorted(data)
 
-    def test_insertion_cutoff_option(self):
-        rng = random.Random(31)
-        data = [rng.randrange(100) for _ in range(500)]
-        work = list(data)
-        quicksort_mo3(work, stats=SortStats(), insertion_cutoff=16)
-        assert work == sorted(data)
-
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             quicksort_mo3([1, 2], 0, 2, SortStats())

@@ -196,3 +196,10 @@ class TestCsv:
     def test_rejects_foreign_header(self):
         with pytest.raises(ValueError):
             read_csv(io.StringIO("a,b,c\n1,2,3\n"))
+
+    def test_rejects_short_row_naming_its_line(self):
+        buf = io.StringIO()
+        write_csv([_record(), _record()], buf)
+        text = buf.getvalue().rsplit(",", 1)[0] + "\n"  # drop the last field
+        with pytest.raises(ValueError, match="line 3"):
+            read_csv(io.StringIO(text))

@@ -1,5 +1,7 @@
 """End-to-end tests of the command-line harness."""
 
+import pytest
+
 from sortlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from sortlab.bench import CSV_HEADER
 
@@ -17,7 +19,7 @@ def test_bench_writes_trial_csv(tmp_path):
 
 
 def test_count_mode_is_byte_reproducible(tmp_path):
-    args = ["bench", "--algo", "bcis,qs", "--dist", "kdistinct", "--k-param", "5",
+    args = ["bench", "--algo", "bcis,qs", "--dist", "k_distinct", "--k-param", "5",
             "--n", "64:256:2", "--trials", "3", "--seed", "99", "--mode", "count"]
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -75,7 +77,7 @@ def test_usage_errors():
                  "--out", "/tmp/x.csv"]) == EXIT_USAGE
     assert main(["bench", "--algo", "bcis", "--dist", "uniform", "--n", "abc",
                  "--out", "/tmp/x.csv"]) == EXIT_USAGE
-    assert main(["bench", "--algo", "bcis", "--dist", "best-small", "--n", "500",
+    assert main(["bench", "--algo", "bcis", "--dist", "best_small", "--n", "500",
                  "--out", "/tmp/x.csv"]) == EXIT_USAGE  # invalid dataset spec
     assert main(["summary", "--in", "/tmp/none.csv", "--ratio", "bcisis",
                  "--metric", "comparisons"]) == EXIT_USAGE
@@ -87,3 +89,27 @@ def test_io_errors(tmp_path):
                  "--ratio", "bcis:is", "--metric", "comparisons"]) == EXIT_IO
     assert main(["bench", "--algo", "bcis", "--dist", "uniform", "--n", "10",
                  "--out", str(tmp_path / "nodir" / "x.csv")]) == EXIT_IO
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"a,b,c\n1,2,3\n",  # foreign header
+        (CSV_HEADER + "\nbcis,uniform,10,,1,0,5\n").encode(),  # truncated row
+        (CSV_HEADER + "\nbcis,uniform,ten,,1,0,5,5,0,1,false,\n").encode(),  # n not an int
+        CSV_HEADER.encode() + b"\nbcis,\xff\xfe,10,,1,0,5,5,0,1,false,\n",  # not UTF-8
+    ],
+    ids=["foreign-header", "truncated-row", "non-integer", "non-utf8"],
+)
+@pytest.mark.parametrize("command", ["summary", "fit"])
+def test_malformed_csv_is_an_io_error(tmp_path, capsys, content, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    args = {
+        "summary": ["summary", "--ratio", "bcis:is", "--metric", "comparisons"],
+        "fit": ["fit", "--algo", "bcis", "--dist", "uniform", "--metric", "comparisons"],
+    }[command]
+    assert main(args + ["--in", str(bad)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
