@@ -3,16 +3,7 @@ sort, classical baselines, closed-form cost models, seeded dataset
 generators and a benchmark CLI."""
 
 from .stats import SortStats
-from .bcis import (
-    ALL_EQUAL,
-    PRESCAN_SPAN,
-    bcis_sort,
-    guarded_prescan,
-    insert_left,
-    insert_right,
-    is_equal_scan,
-    swap,
-)
+from .bcis import PRESCAN_SPAN, bcis_sort
 from .baselines import insertion_sort, quicksort_mo3
 from .datagen import DatasetSpec, DatasetSpecError, derive_seed, generate, validate
 from .bench import (
@@ -34,7 +25,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALGORITHMS",
-    "ALL_EQUAL",
     "CSV_HEADER",
     "DatasetSpec",
     "DatasetSpecError",
@@ -47,18 +37,13 @@ __all__ = [
     "derive_seed",
     "fit_scaling_exponent",
     "generate",
-    "guarded_prescan",
-    "insert_left",
-    "insert_right",
     "insertion_sort",
-    "is_equal_scan",
     "models",
     "quicksort_mo3",
     "ratio_table",
     "read_csv",
     "run_suite",
     "run_trial",
-    "swap",
     "validate",
     "write_csv",
 ]

@@ -1,14 +1,13 @@
 """Bidirectional conditional insertion sort with operation counting.
 
-The sorter keeps ascending-sorted runs at both ends of the range and grows
-them inward.  Each outer iteration ("sort trip") fixes the boundary
+The sorter keeps ascending-sorted runs at both ends of the sequence and
+grows them inward.  Each outer iteration ("sort trip") fixes the boundary
 elements LC and RC as comparators, then sweeps the unsorted window once,
 moving items <= LC into the left run and items >= RC into the right run.
 Items strictly between the comparators stay put until a later trip.
 
-All indices in this module are 1-based inclusive bounds.  Elements may be
-any values with a consistent total order; the sort is in place and not
-stable.
+Elements may be any values with a consistent total order; the sort is in
+place and not stable.
 
 Counting convention (shared with :mod:`sortlab.baselines`): the two-sided
 test of a scanned item against the (LC, RC) pair counts as one three-way
@@ -24,221 +23,124 @@ from typing import Callable, MutableSequence, Optional
 
 from .stats import SortStats
 
-#: Sentinel returned by :func:`is_equal_scan` when the whole window holds
-#: one repeated value.
-ALL_EQUAL = -1
-
 #: Window span at and above which the guarded pre-scan runs.
 PRESCAN_SPAN = 100
 
 TripHook = Callable[[MutableSequence, int, int], None]
 
 
-def swap(seq: MutableSequence, i: int, j: int, stats: SortStats) -> None:
-    """Exchange seq[i] and seq[j] (1-based); costs 3 assignments."""
-    n = len(seq)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"swap indices ({i}, {j}) out of range 1..{n}")
-    tmp = seq[i - 1]
-    seq[i - 1] = seq[j - 1]
-    seq[j - 1] = tmp
-    stats.swaps += 1
-    stats.assignments += 3
-
-
-def is_equal_scan(seq: MutableSequence, sl: int, sr: int, stats: SortStats) -> int:
-    """Look for an item in (sl, sr) differing from seq[sl].
-
-    Precondition: sl < sr and seq[sl] == seq[sr].  The first differing
-    item is swapped into position sl and its original index returned.
-    If every scanned item equals seq[sl], returns :data:`ALL_EQUAL` and
-    flags the stats record; the caller should stop, the window is one
-    repeated value.
-    """
-    if not (1 <= sl < sr <= len(seq)):
-        raise IndexError(f"scan bounds ({sl}, {sr}) invalid for length {len(seq)}")
-    pivot = seq[sl - 1]
-    comps = 0
-    for k in range(sl + 1, sr):
-        comps += 1
-        if seq[k - 1] != pivot:
-            stats.comparisons += comps
-            swap(seq, k, sl, stats)
-            return k
-    stats.comparisons += comps
-    stats.terminated_by_equal = True
-    return ALL_EQUAL
-
-
-def insert_right(
-    seq: MutableSequence, item: object, sr: int, right: int, stats: SortStats
-) -> None:
-    """Insert item into the sorted run seq[sr..right], extending it to sr-1.
-
-    Position sr-1 must be writable scratch: the caller has already copied
-    its occupant out of the way.
-    """
-    if sr - 1 < 1:
-        raise IndexError("no scratch slot below the right run")
-    j = sr
-    comps = 0
-    assigns = 0
-    while j <= right:
-        comps += 1
-        if item > seq[j - 1]:
-            seq[j - 2] = seq[j - 1]
-            assigns += 1
-            j += 1
-        else:
-            break
-    seq[j - 2] = item
-    stats.comparisons += comps
-    stats.assignments += assigns + 1
-
-
-def insert_left(
-    seq: MutableSequence, item: object, sl: int, left: int, stats: SortStats
-) -> None:
-    """Insert item into the sorted run seq[left..sl], extending it to sl+1.
-
-    Position sl+1 must be writable scratch, mirror of :func:`insert_right`.
-    """
-    if sl + 1 > len(seq):
-        raise IndexError("no scratch slot above the left run")
-    j = sl
-    comps = 0
-    assigns = 0
-    while j >= left:
-        comps += 1
-        if item < seq[j - 1]:
-            seq[j] = seq[j - 1]
-            assigns += 1
-            j -= 1
-        else:
-            break
-    seq[j] = item
-    stats.comparisons += comps
-    stats.assignments += assigns + 1
-
-
-def guarded_prescan(
-    seq: MutableSequence,
-    sl: int,
-    sr: int,
-    stats: SortStats,
-    span_threshold: int = PRESCAN_SPAN,
-) -> int:
-    """Seed the comparators for a wide window; return the sweep start index.
-
-    For spans >= span_threshold, classifies the first floor(sqrt(span))
-    window items against the boundary elements, swapping anything larger
-    than seq[sr] to sr and anything smaller than seq[sl] to sl.  The sweep
-    then starts just past the scanned prefix, which therefore cannot be
-    inserted during the trip.  Below the threshold this is a no-op and the
-    sweep starts at sl+1.
-    """
-    span = sr - sl
-    if span < span_threshold:
-        return sl + 1
-    steps = isqrt(span)
-    comps = 0
-    for i in range(sl + 1, sl + steps + 1):
-        comps += 1
-        v = seq[i - 1]
-        if seq[sr - 1] < v:
-            stats.comparisons += comps
-            comps = 0
-            swap(seq, sr, i, stats)
-        elif seq[sl - 1] > v:
-            stats.comparisons += comps
-            comps = 0
-            swap(seq, sl, i, stats)
-    stats.comparisons += comps
-    return sl + steps + 1
-
-
 def bcis_sort(
     seq: MutableSequence,
-    left: int = 1,
-    right: Optional[int] = None,
     stats: Optional[SortStats] = None,
-    span_threshold: int = PRESCAN_SPAN,
     trip_hook: Optional[TripHook] = None,
 ) -> SortStats:
-    """Sort seq[left..right] ascending in place (1-based inclusive bounds).
+    """Sort seq ascending in place.
 
     Counters accumulate into ``stats`` (a fresh record is created when
     omitted) and the record is returned.  ``trip_hook``, when given, is
     called as ``trip_hook(seq, sl, sr)`` at the top of every sort trip,
-    before the trip mutates anything; useful for checking the two-run
-    region invariants.
-
-    Empty and single-element ranges (left >= right) are no-ops.
+    before the trip mutates anything; ``seq[sl..sr]`` (0-based, inclusive)
+    is the unsorted window, ``seq[:sl]`` and ``seq[sr + 1:]`` the two runs.
     """
     if stats is None:
         stats = SortStats()
-    if right is None:
-        right = len(seq)
-    if left < 1 or right > len(seq):
-        raise IndexError(
-            f"range ({left}, {right}) out of bounds for length {len(seq)}"
-        )
-    if left >= right:
-        return stats
-
-    sl = left
-    sr = right
+    comps = assigns = swaps = trips = 0
+    last = len(seq) - 1
+    sl = 0
+    sr = last
     while sl < sr:
-        stats.sort_trips += 1
+        trips += 1
         if trip_hook is not None:
             trip_hook(seq, sl, sr)
 
         # Bring the window's middle element to the right boundary so runs
         # on pre-ordered input are split instead of swept linearly.
-        swap(seq, sr, sl + (sr - sl) // 2, stats)
+        mid = sl + (sr - sl) // 2
+        seq[sr], seq[mid] = seq[mid], seq[sr]
+        swaps += 1
 
-        stats.comparisons += 1
-        if seq[sl - 1] == seq[sr - 1]:
-            if is_equal_scan(seq, sl, sr, stats) == ALL_EQUAL:
-                return stats
-        stats.comparisons += 1
-        if seq[sl - 1] > seq[sr - 1]:
-            swap(seq, sl, sr, stats)
+        comps += 1
+        if seq[sl] == seq[sr]:
+            # Look for an item differing from the equal boundaries and
+            # swap the first one to sl; if there is none the window is one
+            # repeated value and the sort is done.
+            pivot = seq[sl]
+            k = sl + 1
+            while k < sr and seq[k] == pivot:
+                k += 1
+            if k == sr:
+                comps += sr - sl - 1
+                stats.terminated_by_equal = True
+                break
+            comps += k - sl
+            seq[sl], seq[k] = seq[k], seq[sl]
+            swaps += 1
+        comps += 1
+        if seq[sl] > seq[sr]:
+            seq[sl], seq[sr] = seq[sr], seq[sl]
+            swaps += 1
 
-        i = guarded_prescan(seq, sl, sr, stats, span_threshold)
-        lc = seq[sl - 1]
-        rc = seq[sr - 1]
+        # Guarded pre-scan: on a wide window, classify the first
+        # floor(sqrt(span)) items against the boundaries, swapping anything
+        # beyond them onto them.  The sweep starts past the scanned prefix,
+        # so those items cannot be inserted during this trip.
+        i = sl + 1
+        span = sr - sl
+        if span >= PRESCAN_SPAN:
+            steps = isqrt(span)
+            comps += steps
+            for k in range(i, i + steps):
+                v = seq[k]
+                if seq[sr] < v:
+                    seq[sr], seq[k] = v, seq[sr]
+                    swaps += 1
+                elif seq[sl] > v:
+                    seq[sl], seq[k] = v, seq[sl]
+                    swaps += 1
+            i += steps
 
-        comps = 0
-        assigns = 0
+        lc = seq[sl]
+        rc = seq[sr]
         while i < sr:
-            curr = seq[i - 1]
+            curr = seq[i]
             comps += 1  # one three-way classification against (lc, rc)
             if curr >= rc:
                 # The slot is refilled from below the right run; that
-                # element is unscanned, so i does not advance.
-                seq[i - 1] = seq[sr - 2]
-                stats.comparisons += comps
-                stats.assignments += assigns + 1
-                comps = 0
-                assigns = 0
-                insert_right(seq, curr, sr, right, stats)
+                # element is unscanned, so i does not advance.  Then curr
+                # is inserted into the run seq[sr..last], extending it to
+                # sr - 1.
+                seq[i] = seq[sr - 1]
+                j = sr
+                while j <= last and curr > seq[j]:
+                    seq[j - 1] = seq[j]
+                    j += 1
+                seq[j - 1] = curr
+                # One guard per shift, plus the one that stopped the loop
+                # unless curr went past the whole run.
+                comps += j - sr + (j <= last)
+                assigns += j - sr + 2
                 sr -= 1
             elif curr <= lc:
-                seq[i - 1] = seq[sl]
-                stats.comparisons += comps
-                stats.assignments += assigns + 1
-                comps = 0
-                assigns = 0
-                insert_left(seq, curr, sl, left, stats)
+                # Mirror image: insert into seq[0..sl], extending it to sl + 1.
+                seq[i] = seq[sl + 1]
+                j = sl
+                while j >= 0 and curr < seq[j]:
+                    seq[j + 1] = seq[j]
+                    j -= 1
+                seq[j + 1] = curr
+                comps += sl - j + (j >= 0)
+                assigns += sl - j + 2
                 sl += 1
                 i += 1
             else:
                 i += 1
-        stats.comparisons += comps
-        stats.assignments += assigns
 
         # LC and RC are now extreme for the shrunken window: retire both.
         sl += 1
         sr -= 1
+
+    stats.comparisons += comps
+    stats.assignments += assigns + 3 * swaps
+    stats.swaps += swaps
+    stats.sort_trips += trips
     return stats

@@ -179,17 +179,22 @@ def ratio_table(
     """Per-size mean(numerator metric) / mean(denominator metric).
 
     Records are matched on (dist, n, k_param); dispersion is the standard
-    deviation of trial-paired ratios.  A size present for only one of the
-    two algorithms is an error.
+    deviation of the per-trial ratios of the trial ids both algorithms
+    ran.  A size present for only one of the two algorithms, a trial id
+    repeated within one algorithm's records, or a zero denominator is an
+    error.
     """
     if metric not in ("comparisons", "assignments", "elapsed_ns"):
         raise ValueError(f"unsupported metric {metric!r}")
-    groups: Dict[Tuple[str, int, Optional[int]], Dict[str, List[TrialRecord]]] = {}
+    groups: Dict[Tuple[str, int, Optional[int]], Dict[str, Dict[int, float]]] = {}
     for rec in records:
         if rec.algo not in (numerator_algo, denominator_algo):
             continue
         key = (rec.dist, rec.n, rec.k_param)
-        groups.setdefault(key, {}).setdefault(rec.algo, []).append(rec)
+        by_trial = groups.setdefault(key, {}).setdefault(rec.algo, {})
+        if rec.trial in by_trial:
+            raise ValueError(f"dataset {key} has trial {rec.trial} twice for {rec.algo!r}")
+        by_trial[rec.trial] = _metric_value(rec, metric)
 
     rows: List[SummaryRow] = []
     for key in sorted(groups, key=lambda k: (k[0], k[1], k[2] or 0)):
@@ -199,24 +204,24 @@ def ratio_table(
                 f"dataset {key} lacks records for both "
                 f"{numerator_algo!r} and {denominator_algo!r}"
             )
-        num = sorted(sides[numerator_algo], key=lambda r: r.trial)
-        den = sorted(sides[denominator_algo], key=lambda r: r.trial)
-        num_mean = statistics.fmean(_metric_value(r, metric) for r in num)
-        den_mean = statistics.fmean(_metric_value(r, metric) for r in den)
-        pairs = min(len(num), len(den))
-        per_trial = [
-            _metric_value(num[i], metric) / _metric_value(den[i], metric)
-            for i in range(pairs)
-        ]
+        num = sides[numerator_algo]
+        den = sides[denominator_algo]
+        if 0 in den.values():
+            raise ValueError(
+                f"dataset {key} has a zero {metric} for {denominator_algo!r}; "
+                "the ratio is undefined"
+            )
+        shared = sorted(num.keys() & den.keys())
+        per_trial = [num[t] / den[t] for t in shared]
         rows.append(
             SummaryRow(
                 n=key[1],
                 numerator=numerator_algo,
                 denominator=denominator_algo,
                 metric=metric,
-                ratio=num_mean / den_mean,
-                trials=pairs,
-                dispersion=statistics.stdev(per_trial) if pairs > 1 else 0.0,
+                ratio=statistics.fmean(num.values()) / statistics.fmean(den.values()),
+                trials=len(shared),
+                dispersion=statistics.stdev(per_trial) if len(shared) > 1 else 0.0,
             )
         )
     if not rows:
@@ -266,6 +271,8 @@ def _parse_field(name: str, text: str):
     if text == "":
         return None
     if name == "terminated_by_equal":
+        if text not in ("true", "false"):
+            raise ValueError(f"terminated_by_equal must be true or false, got {text!r}")
         return text == "true"
     if name in ("algo", "dist"):
         return text

@@ -135,8 +135,8 @@ def _small_construction(n: int, rng: random.Random, ascending: bool) -> List[int
         return values
     middle = values[: n - 2] if ascending else values[n - 3 :: -1]
     arr = [values[n - 2]] + middle + [values[n - 1]]
-    mid = 1 + (n - 1) // 2  # 1-based window middle for a full range
-    arr[mid - 1], arr[n - 1] = arr[n - 1], arr[mid - 1]
+    mid = (n - 1) // 2  # the sorter's middle of the full window
+    arr[mid], arr[n - 1] = arr[n - 1], arr[mid]
     return arr
 
 

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from sortlab import SortStats, insertion_sort, quicksort_mo3
 
 
@@ -39,15 +37,6 @@ class TestInsertionSort:
         assert stats.comparisons == n - 1
         # no shifts: only the key placements
         assert stats.assignments == n - 1
-
-    def test_subrange(self):
-        seq = [9, 4, 3, 2, 0]
-        insertion_sort(seq, 2, 4, SortStats())
-        assert seq == [9, 2, 3, 4, 0]
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            insertion_sort([1], 1, 2, SortStats())
 
 
 class TestQuicksortMo3:
@@ -86,7 +75,3 @@ class TestQuicksortMo3:
             work = list(data)
             quicksort_mo3(work, stats=SortStats())
             assert work == sorted(data)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            quicksort_mo3([1, 2], 0, 2, SortStats())

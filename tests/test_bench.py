@@ -122,6 +122,21 @@ class TestRatioTable:
         with pytest.raises(ValueError):
             ratio_table(records, "bcis", "is", "comparisons")
 
+    def test_pairs_trials_by_id(self):
+        records = [
+            _record(algo="bcis", trial=t, comparisons=c)
+            for t, c in ((0, 10), (1, 20), (2, 30))
+        ] + [_record(algo="is", trial=t, comparisons=10) for t in (1, 2, 3)]
+        (row,) = ratio_table(records, "bcis", "is", "comparisons")
+        assert row.ratio == 2.0  # means over every record of each side
+        assert row.trials == 2  # trial ids 1 and 2: ratios 2 and 3
+        assert row.dispersion == pytest.approx(0.5**0.5)
+
+    def test_repeated_trial_id(self):
+        records = [_record(algo="bcis"), _record(algo="bcis"), _record(algo="is")]
+        with pytest.raises(ValueError, match="trial 0 twice"):
+            ratio_table(records, "bcis", "is", "comparisons")
+
     def test_end_to_end_counts(self):
         grid = [
             (algo, DatasetSpec("uniform", n), 5)

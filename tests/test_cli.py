@@ -51,6 +51,18 @@ def test_summary_ratio(tmp_path, capsys):
     assert 0 < float(ratio) < 1
 
 
+def test_summary_of_zero_counts_is_a_usage_error(tmp_path, capsys):
+    # n = 1 costs no comparisons, so bcis:qs has a zero denominator.
+    runs = tmp_path / "eq.csv"
+    assert main(["bench", "--algo", "bcis,qs", "--dist", "equal", "--n", "1,2",
+                 "--out", str(runs)]) == EXIT_OK
+    assert main(["summary", "--in", str(runs), "--ratio", "bcis:qs",
+                 "--metric", "comparisons"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: dataset ('equal', 1, None)")
+    assert err.count("\n") == 1
+
+
 def test_fit_prints_slope(tmp_path, capsys):
     runs = tmp_path / "runs.csv"
     main(["bench", "--algo", "is", "--dist", "uniform", "--n", "100:1600:2",
@@ -98,8 +110,9 @@ def test_io_errors(tmp_path):
         (CSV_HEADER + "\nbcis,uniform,10,,1,0,5\n").encode(),  # truncated row
         (CSV_HEADER + "\nbcis,uniform,ten,,1,0,5,5,0,1,false,\n").encode(),  # n not an int
         CSV_HEADER.encode() + b"\nbcis,\xff\xfe,10,,1,0,5,5,0,1,false,\n",  # not UTF-8
+        (CSV_HEADER + "\nbcis,uniform,10,,1,0,5,5,0,1,True,\n").encode(),  # not true/false
     ],
-    ids=["foreign-header", "truncated-row", "non-integer", "non-utf8"],
+    ids=["foreign-header", "truncated-row", "non-integer", "non-utf8", "non-boolean"],
 )
 @pytest.mark.parametrize("command", ["summary", "fit"])
 def test_malformed_csv_is_an_io_error(tmp_path, capsys, content, command):

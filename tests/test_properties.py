@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sortlab import (
-    ALGORITHMS,
-    SortStats,
-    bcis_sort,
-    insert_left,
-    insert_right,
-)
+from sortlab import ALGORITHMS, SortStats, bcis_sort, insertion_sort
 
 element_lists = st.lists(st.integers(-1000, 1000), max_size=300)
 
@@ -51,39 +45,51 @@ def test_trip_count_bound(data):
     assert stats.sort_trips <= -(-n // 2) + 1
 
 
-@given(
-    run=st.lists(st.integers(0, 100), min_size=1, max_size=40).map(sorted),
-    item=st.integers(0, 100),
-    pad=st.integers(1, 5),
-)
-@settings(max_examples=200, deadline=None)
-def test_insert_right_postcondition(run, item, pad):
-    seq = [None] * pad + run
-    sr = pad + 1
-    right = len(seq)
-    stats = SortStats()
-    insert_right(seq, item, sr, right, stats)
-    segment = seq[sr - 2 :]
-    assert segment == sorted(segment)
-    assert Counter(segment) == Counter(run + [item])
-    assert stats.comparisons >= 1
-    assert stats.assignments >= 1
+def _runs_per_trip(data):
+    """(left run, right run) at the top of each bcis_sort trip."""
+    runs = []
+    bcis_sort(
+        list(data),
+        stats=SortStats(),
+        trip_hook=lambda seq, sl, sr: runs.append((seq[:sl], seq[sr + 1 :])),
+    )
+    return runs
 
 
-@given(
-    run=st.lists(st.integers(0, 100), min_size=1, max_size=40).map(sorted),
-    item=st.integers(0, 100),
-    pad=st.integers(1, 5),
-)
+@given(data=element_lists)
 @settings(max_examples=200, deadline=None)
-def test_insert_left_postcondition(run, item, pad):
-    seq = run + [None] * pad
-    sl = len(run)
-    stats = SortStats()
-    insert_left(seq, item, sl, 1, stats)
-    segment = seq[: sl + 1]
-    assert segment == sorted(segment)
-    assert Counter(segment) == Counter(run + [item])
+def test_insert_right_postcondition(data):
+    # Right insertions stay below the retired run: each trip's right run is
+    # sorted and ends with the run the trip before it started with.
+    runs = _runs_per_trip(data)
+    for (_, before), (_, after) in zip(runs, runs[1:]):
+        assert after == sorted(after)
+        assert len(after) > len(before) and after[len(after) - len(before) :] == before
+
+
+@given(data=element_lists)
+@settings(max_examples=200, deadline=None)
+def test_insert_left_postcondition(data):
+    runs = _runs_per_trip(data)
+    for (before, _), (after, _) in zip(runs, runs[1:]):
+        assert after == sorted(after)
+        assert len(after) > len(before) and after[: len(before)] == before
+
+
+@given(data=element_lists)
+@settings(max_examples=150, deadline=None)
+def test_insertion_sort_exact_oracle(data):
+    n = len(data)
+    inversions = sum(
+        data[i] > data[j] for i in range(n) for j in range(i + 1, n)
+    )
+    # Keys after the first that are strictly below everything before them
+    # shift past the whole run, so no guard stops their loop.
+    prefix_minima = sum(data[i] < min(data[:i]) for i in range(1, n))
+    stats = insertion_sort(list(data), stats=SortStats())
+    steps = max(n - 1, 0)
+    assert stats.comparisons == inversions + steps - prefix_minima
+    assert stats.assignments == inversions + steps
 
 
 @given(data=st.lists(st.integers(0, 3), min_size=1, max_size=200))
