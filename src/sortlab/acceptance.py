@@ -1,7 +1,7 @@
 """Acceptance gate: the binding correctness and complexity checks.
 
-Each criterion is a function returning a :class:`CheckResult`; the runner
-executes all of them in order and emits one pass/fail line per criterion.
+Each criterion is registered with :func:`criterion` where it is defined;
+the runner executes them in that order, one pass/fail line per criterion.
 Operation counts are the binding signal; the wall-time tables are
 informational because absolute timing is machine-dependent.
 
@@ -11,14 +11,15 @@ quadratic baseline at n=10^4 and the 20-seed scaling sweep dominate.
 
 from __future__ import annotations
 
+import functools
 import io
 import statistics
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import models
-from .bench import ALGORITHMS, fit_scaling_exponent, run_suite, run_trial, write_csv
+from .bench import ALGORITHMS, VerificationError, fit_scaling_exponent, run_suite, run_trial, write_csv
 from .datagen import DatasetSpec, derive_seed
 # Unused here; kept because perfbench/tracing.py wraps acceptance.generate by name.
 from .datagen import generate  # noqa: F401
@@ -42,6 +43,34 @@ class CheckResult:
 
 
 Cache = Dict[str, object]
+#: What a criterion's body returns: whether it passed, and the detail text.
+Verdict = Tuple[bool, str]
+
+#: Every criterion, in definition order; filled by :func:`criterion`.
+CRITERIA: List[Callable[[Cache], CheckResult]] = []
+
+
+def criterion(number: int, name: str, report_only: bool = False):
+    """Register the decorated check as gate criterion ``number``.
+
+    The body takes the shared cache and returns a :data:`Verdict`; the
+    registered function returns the :class:`CheckResult` built from it and
+    carries ``number``, ``name`` and ``report_only`` as attributes.
+    """
+
+    def register(body: Callable[[Cache], Verdict]) -> Callable[[Cache], CheckResult]:
+        @functools.wraps(body)
+        def check(cache: Cache) -> CheckResult:
+            ok, detail = body(cache)
+            return CheckResult(number, name, ok, detail, report_only)
+
+        check.number = number
+        check.name = name
+        check.report_only = report_only
+        CRITERIA.append(check)
+        return check
+
+    return register
 
 
 def _mean_counts(algo: str, kind: str, n: int, label: str, trials: int = AVG_TRIALS):
@@ -55,7 +84,8 @@ def _mean_counts(algo: str, kind: str, n: int, label: str, trials: int = AVG_TRI
     return statistics.fmean(comps), statistics.fmean(assigns)
 
 
-def check_correctness(cache: Cache) -> CheckResult:
+@criterion(1, "correctness")
+def check_correctness(cache: Cache) -> Verdict:
     """Exhaustive small inputs plus randomized oracle equivalence."""
     import random
 
@@ -67,9 +97,7 @@ def check_correctness(cache: Cache) -> CheckResult:
                 work = list(tup)
                 sort(work, stats=SortStats())
                 if work != expected:
-                    return CheckResult(
-                        1, "correctness", False, f"{algo} failed on {tup!r}"
-                    )
+                    return False, f"{algo} failed on {tup!r}"
             cases += 1
     rng = random.Random(derive_seed(BASE_SEED, "oracle"))
     for _ in range(1000):
@@ -80,57 +108,48 @@ def check_correctness(cache: Cache) -> CheckResult:
             work = list(data)
             sort(work, stats=SortStats())
             if work != expected:
-                return CheckResult(
-                    1, "correctness", False, f"{algo} failed on random n={n}"
-                )
+                return False, f"{algo} failed on random n={n}"
         cases += 1
-    return CheckResult(1, "correctness", True, f"{cases} cases, zero failures")
+    return True, f"{cases} cases, zero failures"
 
 
-def check_all_equal_linear(cache: Cache) -> CheckResult:
+@criterion(2, "all-equal linearity")
+def check_all_equal_linear(cache: Cache) -> Verdict:
     worst = 0.0
     for n in (10**3, 10**4, 10**5, 10**6):
         rec = run_trial("bcis", DatasetSpec("equal", n, seed=derive_seed(BASE_SEED, "eq", n)))
         if rec.comparisons > 2 * n or rec.sort_trips != 1 or not rec.terminated_by_equal:
-            return CheckResult(
-                2,
-                "all-equal linearity",
-                False,
-                f"n={n}: comps={rec.comparisons} trips={rec.sort_trips}",
-            )
+            return False, f"n={n}: comps={rec.comparisons} trips={rec.sort_trips}"
         worst = max(worst, rec.comparisons / n)
-    return CheckResult(
-        2, "all-equal linearity", True, f"comps <= 2n (max comps/n={worst:.3f}), 1 trip"
-    )
+    return True, f"comps <= 2n (max comps/n={worst:.3f}), 1 trip"
 
 
-def check_sorted_bound(cache: Cache) -> CheckResult:
+@criterion(3, "sorted-array bound")
+def check_sorted_bound(cache: Cache) -> Verdict:
     ratios = {}
     for n in (10**4, 10**5):
         rec = run_trial("bcis", DatasetSpec("sorted", n))
         ratios[n] = rec.comparisons / n
         if not 2 <= ratios[n] <= 6:
-            return CheckResult(
-                3, "sorted-array bound", False, f"n={n}: comps/n={ratios[n]:.3f}"
-            )
+            return False, f"n={n}: comps/n={ratios[n]:.3f}"
     detail = ", ".join(f"n={n}: comps/n={r:.3f}" for n, r in ratios.items())
-    return CheckResult(3, "sorted-array bound", True, detail + " in [2, 6]")
+    return True, detail + " in [2, 6]"
 
 
-def check_reverse_bound(cache: Cache) -> CheckResult:
+@criterion(4, "reverse-sorted bound")
+def check_reverse_bound(cache: Cache) -> Verdict:
     ratios = {}
     for n in (10**3, 10**4):
         rec = run_trial("bcis", DatasetSpec("reverse", n))
         ratios[n] = rec.comparisons / models.bcis_worst_reverse(n)
         if not 0.8 <= ratios[n] <= 1.3:
-            return CheckResult(
-                4, "reverse-sorted bound", False, f"n={n}: ratio={ratios[n]:.3f}"
-            )
+            return False, f"n={n}: ratio={ratios[n]:.3f}"
     detail = ", ".join(f"n={n}: {r:.4f}" for n, r in ratios.items())
-    return CheckResult(4, "reverse-sorted bound", True, detail + " in [0.8, 1.3]")
+    return True, detail + " in [0.8, 1.3]"
 
 
-def check_worst_construction(cache: Cache) -> CheckResult:
+@criterion(5, "small-n worst construction")
+def check_worst_construction(cache: Cache) -> Verdict:
     worst_ratio = 0.0
     for n in (10, 50, 99):
         target = models.bcis_worst_small(n)
@@ -139,64 +158,41 @@ def check_worst_construction(cache: Cache) -> CheckResult:
             rec = run_trial("bcis", DatasetSpec("worst_small", n, seed=seed))
             ratio = rec.comparisons / target
             if not 0.9 <= ratio <= 1.1:
-                return CheckResult(
-                    5,
-                    "small-n worst construction",
-                    False,
-                    f"n={n} seed#{t}: comps={rec.comparisons} vs {target:.0f}",
-                )
+                return False, f"n={n} seed#{t}: comps={rec.comparisons} vs {target:.0f}"
             worst_ratio = max(worst_ratio, abs(ratio - 1))
-    return CheckResult(
-        5,
-        "small-n worst construction",
-        True,
-        f"comps within 10% of n(n-1)/2 (max deviation {worst_ratio:.1%})",
-    )
+    return True, f"comps within 10% of n(n-1)/2 (max deviation {worst_ratio:.1%})"
 
 
-def check_best_construction(cache: Cache) -> CheckResult:
+@criterion(6, "small-n best construction")
+def check_best_construction(cache: Cache) -> Verdict:
     for n in (10, 50, 99):
         for t in range(AVG_TRIALS):
             seed = derive_seed(BASE_SEED, "best", n, t)
             rec = run_trial("bcis", DatasetSpec("best_small", n, seed=seed))
             if rec.comparisons > 3 * n or rec.assignments > 3 * n:
-                return CheckResult(
-                    6,
-                    "small-n best construction",
-                    False,
-                    f"n={n} seed#{t}: comps={rec.comparisons} assigns={rec.assignments} > 3n={3*n}",
-                )
-    return CheckResult(
-        6, "small-n best construction", True, "comps and assigns <= 3n at n in {10,50,99}"
-    )
+                counts = f"comps={rec.comparisons} assigns={rec.assignments}"
+                return False, f"n={n} seed#{t}: {counts} > 3n={3*n}"
+    return True, "comps and assigns <= 3n at n in {10,50,99}"
 
 
-def check_average_scaling(cache: Cache) -> CheckResult:
+@criterion(7, "average-case scaling")
+def check_average_scaling(cache: Cache) -> Verdict:
     means = []
     for e in range(10, 18):
         n = 2**e
         mc, ma = _mean_counts("bcis", "uniform", n, "scaling")
         if not ma < mc:
-            return CheckResult(
-                7, "average-case scaling", False, f"n={n}: assigns {ma:.0f} >= comps {mc:.0f}"
-            )
+            return False, f"n={n}: assigns {ma:.0f} >= comps {mc:.0f}"
         means.append((n, mc))
         if n == 2**13:
             model = models.bcis_avg_comparisons(n)
             if not model / 2 <= mc <= model * 2:
-                return CheckResult(
-                    7,
-                    "average-case scaling",
-                    False,
-                    f"n=2^13: comps {mc:.0f} not within 2x of model {model:.0f}",
-                )
+                return False, f"n=2^13: comps {mc:.0f} not within 2x of model {model:.0f}"
             factor_213 = mc / model
     slope = fit_scaling_exponent(means)
     if not 1.35 <= slope <= 1.65:
-        return CheckResult(7, "average-case scaling", False, f"slope={slope:.3f}")
-    return CheckResult(
-        7,
-        "average-case scaling",
+        return False, f"slope={slope:.3f}"
+    return (
         True,
         f"slope={slope:.3f} in [1.35, 1.65]; assigns < comps; "
         f"2^13 measured/model={factor_213:.3f}",
@@ -211,29 +207,24 @@ def _is_uniform_means(cache: Cache, n: int) -> float:
     return cache[key]  # type: ignore[return-value]
 
 
-def check_is_fidelity(cache: Cache) -> CheckResult:
+@criterion(8, "insertion-sort fidelity")
+def check_is_fidelity(cache: Cache) -> Verdict:
     ratios = {}
     for n in (10**3, 10**4):
         ratios[n] = _is_uniform_means(cache, n) / (n * n / 4)
         if not 0.9 <= ratios[n] <= 1.1:
-            return CheckResult(
-                8, "insertion-sort fidelity", False, f"n={n}: ratio={ratios[n]:.4f}"
-            )
+            return False, f"n={n}: ratio={ratios[n]:.4f}"
     detail = ", ".join(f"n={n}: {r:.4f}" for n, r in ratios.items())
-    return CheckResult(8, "insertion-sort fidelity", True, detail + " in [0.9, 1.1]")
+    return True, detail + " in [0.9, 1.1]"
 
 
-def check_count_ratio(cache: Cache) -> CheckResult:
+@criterion(9, "bcis/is comparison ratio")
+def check_count_ratio(cache: Cache) -> Verdict:
     n = 10**4
     bcis_mean, _ = _mean_counts("bcis", "uniform", n, "cmpratio")
     ratio = bcis_mean / _is_uniform_means(cache, n)
     ok = 0.02 <= ratio <= 0.10
-    return CheckResult(
-        9,
-        "bcis/is comparison ratio",
-        ok,
-        f"n=10^4: {ratio:.4f} {'in' if ok else 'outside'} [0.02, 0.10]",
-    )
+    return ok, f"n=10^4: {ratio:.4f} {'in' if ok else 'outside'} [0.02, 0.10]"
 
 
 # (function, args, expected) substitution table; expectations are the
@@ -273,14 +264,13 @@ MODEL_POINTS = [
 ]
 
 
-def check_cost_models(cache: Cache) -> CheckResult:
+@criterion(10, "cost-model units")
+def check_cost_models(cache: Cache) -> Verdict:
     for func, args, expected in MODEL_POINTS:
         got = func(*args)
         err = abs(got - expected) / max(abs(expected), 1.0)
         if err > 1e-12:
-            return CheckResult(
-                10, "cost-model units", False, f"{func.__name__}{args} = {got}, want {expected}"
-            )
+            return False, f"{func.__name__}{args} = {got}, want {expected}"
     # The k-sweep minimum must sit near sqrt(n).
     for n in (10**2, 10**4, 10**6):
         root = n**0.5
@@ -288,16 +278,10 @@ def check_cost_models(cache: Cache) -> CheckResult:
         best_k = min(ks, key=lambda k: models.bcis_general_comparisons(n, k))
         at_root = models.bcis_general_comparisons(n, root)
         if not root / 4 <= best_k <= root * 4:
-            return CheckResult(
-                10, "cost-model units", False, f"n={n}: k-sweep minimum at {best_k}"
-            )
+            return False, f"n={n}: k-sweep minimum at {best_k}"
         if at_root > models.bcis_general_comparisons(n, 2) or at_root > models.bcis_general_comparisons(n, n):
-            return CheckResult(
-                10, "cost-model units", False, f"n={n}: sqrt(n) load not below endpoints"
-            )
-    return CheckResult(
-        10, "cost-model units", True, f"{len(MODEL_POINTS)} substitutions exact; k-sweep minimum near sqrt(n)"
-    )
+            return False, f"n={n}: sqrt(n) load not below endpoints"
+    return True, f"{len(MODEL_POINTS)} substitutions exact; k-sweep minimum near sqrt(n)"
 
 
 def _time_ratio_rows(grid, trials: int) -> List[str]:
@@ -320,7 +304,8 @@ def _time_ratio_rows(grid, trials: int) -> List[str]:
     return rows
 
 
-def check_timing_report(cache: Cache) -> CheckResult:
+@criterion(11, "wall-time ratio tables", report_only=True)
+def check_timing_report(cache: Cache) -> Verdict:
     """Report-only wall-time ratios; never fails."""
     small = [DatasetSpec("uniform", n) for n in (64, 128, 256, 512, 1024, 1400)]
     dup = [
@@ -330,12 +315,11 @@ def check_timing_report(cache: Cache) -> CheckResult:
     lines += _time_ratio_rows(small, trials=5)
     lines += _time_ratio_rows(dup[:2], trials=5)
     lines += _time_ratio_rows(dup[2:], trials=3)
-    return CheckResult(
-        11, "wall-time ratio tables", True, "\n".join(lines), report_only=True
-    )
+    return True, "\n".join(lines)
 
 
-def check_determinism(cache: Cache) -> CheckResult:
+@criterion(12, "count-mode determinism")
+def check_determinism(cache: Cache) -> Verdict:
     grid = [
         ("bcis", DatasetSpec("uniform", 500), 3),
         ("is", DatasetSpec("uniform", 500), 3),
@@ -348,28 +332,7 @@ def check_determinism(cache: Cache) -> CheckResult:
         write_csv(run_suite(grid, mode="count", base_seed=BASE_SEED), buf)
         blobs.append(buf.getvalue().encode("utf-8"))
     ok = blobs[0] == blobs[1]
-    return CheckResult(
-        12,
-        "count-mode determinism",
-        ok,
-        "identical invocations give byte-identical CSV" if ok else "CSV bytes differ",
-    )
-
-
-CRITERIA: List[Callable[[Cache], CheckResult]] = [
-    check_correctness,
-    check_all_equal_linear,
-    check_sorted_bound,
-    check_reverse_bound,
-    check_worst_construction,
-    check_best_construction,
-    check_average_scaling,
-    check_is_fidelity,
-    check_count_ratio,
-    check_cost_models,
-    check_timing_report,
-    check_determinism,
-]
+    return ok, "identical invocations give byte-identical CSV" if ok else "CSV bytes differ"
 
 
 def run_acceptance(
@@ -378,18 +341,22 @@ def run_acceptance(
 ) -> List[CheckResult]:
     """Run every criterion; returns all results in order.
 
-    ``skip_timing`` drops the informational wall-time tables (criterion
-    11), which cannot fail but take a while.
+    ``skip_timing`` drops the report-only criteria (the wall-time tables,
+    #11), which cannot fail but take a while.  A criterion whose trial
+    fails verification is a failed result, and the gate goes on.
     """
     results = []
     cache: Cache = {}
     for check in CRITERIA:
-        if skip_timing and check is check_timing_report:
-            result = CheckResult(
-                11, "wall-time ratio tables", True, "skipped", report_only=True
-            )
+        if skip_timing and check.report_only:
+            result = CheckResult(check.number, check.name, True, "skipped", report_only=True)
         else:
-            result = check(cache)
+            try:
+                result = check(cache)
+            except VerificationError as exc:
+                result = CheckResult(
+                    check.number, check.name, False, f"verification failure: {exc}"
+                )
         results.append(result)
         if emit is not None:
             emit(result.line())

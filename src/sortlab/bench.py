@@ -27,13 +27,8 @@ ALGORITHMS = {
 
 MODES = ("count", "time", "both")
 
-#: Bit-exact trial CSV header.
-CSV_HEADER = (
-    "algo,dist,n,k_param,seed,trial,comparisons,assignments,"
-    "swaps,sort_trips,terminated_by_equal,elapsed_ns"
-)
-
-SUMMARY_HEADER = "n,numerator,denominator,metric,ratio,trials,dispersion"
+#: Trial-record fields a ratio table or a scaling fit can be taken over.
+METRICS = ("comparisons", "assignments", "elapsed_ns")
 
 
 class VerificationError(RuntimeError):
@@ -54,6 +49,10 @@ class TrialRecord:
     sort_trips: Optional[int]
     terminated_by_equal: Optional[bool]
     elapsed_ns: Optional[int]
+
+
+#: Bit-exact trial CSV header: the :class:`TrialRecord` fields in order.
+CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,7 @@ def ratio_table(
     repeated within one algorithm's records, or a zero denominator is an
     error.
     """
-    if metric not in ("comparisons", "assignments", "elapsed_ns"):
+    if metric not in METRICS:
         raise ValueError(f"unsupported metric {metric!r}")
     groups: Dict[Tuple[str, int, Optional[int]], Dict[str, Dict[int, float]]] = {}
     for rec in records:
@@ -249,17 +248,13 @@ def _format_field(value: object) -> str:
 
 
 def write_csv(rows: Iterable, out: TextIO) -> None:
-    """Write trial records or summary rows; header always emitted,
-    UTF-8 text with LF line endings."""
+    """Write trial records or summary rows, one column per field of the
+    first row's dataclass (:class:`TrialRecord` when there are none);
+    header always emitted, UTF-8 text with LF line endings."""
     rows = list(rows)
-    if rows and isinstance(rows[0], SummaryRow):
-        header = SUMMARY_HEADER
-        cls = SummaryRow
-    else:
-        header = CSV_HEADER
-        cls = TrialRecord
+    cls = type(rows[0]) if rows else TrialRecord
+    names = [f.name for f in fields(cls)]
     writer = csv.writer(out, lineterminator="\n")
-    names = header.split(",")
     writer.writerow(names)
     for row in rows:
         if not isinstance(row, cls):
@@ -282,11 +277,11 @@ def _parse_field(name: str, text: str):
 def read_csv(source: TextIO) -> List[TrialRecord]:
     """Parse a trial CSV written by :func:`write_csv`; raises ``ValueError``
     on a foreign header, a short or long row, or a malformed number."""
+    names = CSV_HEADER.split(",")
     reader = csv.reader(source)
     header = next(reader, None)
-    if header != CSV_HEADER.split(","):
+    if header != names:
         raise ValueError(f"unexpected CSV header: {header!r}")
-    names = [f.name for f in fields(TrialRecord)]
     out = []
     for row in reader:
         if len(row) != len(names):

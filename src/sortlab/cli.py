@@ -21,6 +21,7 @@ from typing import List, Optional
 from . import acceptance
 from .bench import (
     ALGORITHMS,
+    METRICS,
     MODES,
     VerificationError,
     fit_scaling_exponent,
@@ -76,22 +77,14 @@ def build_parser() -> _Parser:
     summary = sub.add_parser("summary", help="ratio-of-means table from a trial CSV")
     summary.add_argument("--in", dest="infile", required=True)
     summary.add_argument("--ratio", required=True, help="NUMERATOR:DENOMINATOR algos")
-    summary.add_argument(
-        "--metric",
-        required=True,
-        choices=("comparisons", "assignments", "elapsed_ns"),
-    )
+    summary.add_argument("--metric", required=True, choices=METRICS)
     summary.add_argument("--out", help="summary CSV destination (default stdout)")
 
     fit = sub.add_parser("fit", help="log-log scaling exponent from a trial CSV")
     fit.add_argument("--in", dest="infile", required=True)
     fit.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     fit.add_argument("--dist", required=True, choices=KINDS)
-    fit.add_argument(
-        "--metric",
-        required=True,
-        choices=("comparisons", "assignments", "elapsed_ns"),
-    )
+    fit.add_argument("--metric", required=True, choices=METRICS)
 
     verify = sub.add_parser("verify", help="run the acceptance suite")
     verify.add_argument(

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 #: Recognized dataset kinds.
 KINDS = (
@@ -29,7 +29,9 @@ KINDS = (
 #: because the sorter's guarded pre-scan displaces their comparators.
 SMALL_CONSTRUCTION_LIMIT = 100
 
-DEFAULT_VALUE_RANGE: Tuple[int, int] = (0, 2**31 - 1)
+#: Inclusive bounds of the values drawn by ``uniform``, ``equal`` and
+#: ``k_distinct``.
+VALUE_RANGE = (0, 2**31 - 1)
 
 
 class DatasetSpecError(ValueError):
@@ -46,7 +48,6 @@ class DatasetSpec:
     n: int
     seed: int = 0
     k_param: Optional[int] = None
-    value_range: Tuple[int, int] = field(default=DEFAULT_VALUE_RANGE)
 
 
 def validate(spec: DatasetSpec) -> List[str]:
@@ -70,12 +71,6 @@ def validate(spec: DatasetSpec) -> List[str]:
         out.append(
             f"{spec.kind} requires n < {SMALL_CONSTRUCTION_LIMIT}, got n={spec.n}"
         )
-    lo, hi = spec.value_range
-    if lo > hi:
-        out.append(f"value_range is empty: ({lo}, {hi})")
-    elif spec.kind == "k_distinct" and spec.k_param is not None:
-        if spec.k_param > hi - lo + 1:
-            out.append("value_range too narrow for k_param distinct values")
     return out
 
 
@@ -97,7 +92,7 @@ def generate(spec: DatasetSpec) -> List[int]:
 
     n = spec.n
     rng = random.Random(spec.seed)
-    lo, hi = spec.value_range
+    lo, hi = VALUE_RANGE
 
     if spec.kind == "uniform":
         return [rng.randrange(lo, hi + 1) for _ in range(n)]

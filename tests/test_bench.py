@@ -208,6 +208,13 @@ class TestCsv:
         )
         assert buf.getvalue().startswith("n,numerator,denominator,metric,ratio,trials,dispersion\n")
 
+    def test_rejects_mixed_row_types(self):
+        summary = SummaryRow(100, "bcis", "is", "comparisons", 0.5, 3, 0.01)
+        with pytest.raises(TypeError):
+            write_csv([_record(), summary], io.StringIO())
+        with pytest.raises(TypeError):
+            write_csv([("bcis", "uniform", 10)], io.StringIO())
+
     def test_rejects_foreign_header(self):
         with pytest.raises(ValueError):
             read_csv(io.StringIO("a,b,c\n1,2,3\n"))

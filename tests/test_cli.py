@@ -2,7 +2,8 @@
 
 import pytest
 
-from sortlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from sortlab import acceptance, bench
+from sortlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from sortlab.bench import CSV_HEADER
 
 
@@ -126,3 +127,36 @@ def test_malformed_csv_is_an_io_error(tmp_path, capsys, content, command):
     err = capsys.readouterr().err
     assert err.startswith("io error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_criteria_are_registered_once_in_order():
+    assert [c.number for c in acceptance.CRITERIA] == list(range(1, 13))
+    names = [c.name for c in acceptance.CRITERIA]
+    assert len(set(names)) == len(names)
+    assert [c.number for c in acceptance.CRITERIA if c.report_only] == [11]
+
+
+def test_skip_timing_reports_the_timing_tables_as_skipped(monkeypatch):
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.check_timing_report])
+    (result,) = acceptance.run_acceptance(emit=None, skip_timing=True)
+    assert (result.number, result.report_only, result.detail) == (11, True, "skipped")
+    assert result.line().startswith("INFO  11. ")
+
+
+def test_verify_reports_a_verification_failure(monkeypatch, capsys):
+    def sorted_but_lossy(seq, stats=None):
+        seq.sort()
+        seq[0] = seq[1]  # still sorted, but the smallest item is lost
+        return stats
+
+    monkeypatch.setitem(bench.ALGORITHMS, "bcis", sorted_but_lossy)
+    monkeypatch.setattr(
+        acceptance, "CRITERIA", [acceptance.check_sorted_bound, acceptance.check_cost_models]
+    )
+    assert main(["verify"]) == EXIT_VERIFICATION
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("FAIL   3. sorted-array bound: verification failure: bcis ")
+    assert lines[1].startswith("PASS  10. cost-model units: ")
+    assert "Traceback" not in captured.out + captured.err

@@ -3,7 +3,7 @@
 import pytest
 
 from sortlab import DatasetSpec, DatasetSpecError, SortStats, bcis_sort, generate, validate
-from sortlab.datagen import derive_seed, sweep_sizes
+from sortlab.datagen import VALUE_RANGE, derive_seed, sweep_sizes
 
 
 class TestValidate:
@@ -26,9 +26,6 @@ class TestValidate:
 
     def test_k_param_rejected_elsewhere(self):
         assert validate(DatasetSpec("uniform", 10, k_param=5))
-
-    def test_empty_value_range(self):
-        assert validate(DatasetSpec("uniform", 10, value_range=(5, 4)))
 
     def test_generate_raises_with_violations(self):
         with pytest.raises(DatasetSpecError) as err:
@@ -59,8 +56,9 @@ class TestGenerate:
         assert generate(spec) != generate(other)
 
     def test_uniform_range(self):
-        data = generate(DatasetSpec("uniform", 500, seed=3, value_range=(10, 20)))
-        assert all(10 <= v <= 20 for v in data)
+        lo, hi = VALUE_RANGE
+        data = generate(DatasetSpec("uniform", 500, seed=3))
+        assert all(lo <= v <= hi for v in data)
 
     def test_k_distinct_counts(self):
         data = generate(DatasetSpec("k_distinct", 10**4, seed=8, k_param=50))
