@@ -23,7 +23,6 @@ from .bench import ALGORITHMS, VerificationError, fit_scaling_exponent, run_suit
 from .datagen import DatasetSpec, derive_seed
 # Unused here; kept because perfbench/tracing.py wraps acceptance.generate by name.
 from .datagen import generate  # noqa: F401
-from .stats import SortStats
 
 BASE_SEED = 20210621
 AVG_TRIALS = 20
@@ -95,7 +94,7 @@ def check_correctness(cache: Cache) -> Verdict:
             expected = sorted(tup)
             for algo, sort in ALGORITHMS.items():
                 work = list(tup)
-                sort(work, stats=SortStats())
+                sort(work)
                 if work != expected:
                     return False, f"{algo} failed on {tup!r}"
             cases += 1
@@ -106,7 +105,7 @@ def check_correctness(cache: Cache) -> Verdict:
         expected = sorted(data)
         for algo, sort in ALGORITHMS.items():
             work = list(data)
-            sort(work, stats=SortStats())
+            sort(work)
             if work != expected:
                 return False, f"{algo} failed on random n={n}"
         cases += 1

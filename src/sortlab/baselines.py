@@ -7,22 +7,18 @@ Both use the same signature and counting convention as
 
 from __future__ import annotations
 
-from typing import MutableSequence, Optional
+from typing import MutableSequence
 
 from .stats import SortStats
 
 
-def insertion_sort(
-    seq: MutableSequence, stats: Optional[SortStats] = None
-) -> SortStats:
+def insertion_sort(seq: MutableSequence) -> SortStats:
     """Classical insertion sort of seq, ascending, in place.
 
     One sorted run anchored at the left grows by one element per outer
     iteration.  Shifts count one assignment each; the final placement of
     the key counts one more.
     """
-    if stats is None:
-        stats = SortStats()
     comps = 0
     assigns = 0
     for i in range(1, len(seq)):
@@ -36,15 +32,10 @@ def insertion_sort(
         # key went past the whole run.
         comps += i - 1 - j + (j >= 0)
         assigns += i - j
-    stats.comparisons += comps
-    stats.assignments += assigns
-    stats.sort_trips += max(len(seq) - 1, 0)
-    return stats
+    return SortStats(comps, assigns, 0, max(len(seq) - 1, 0))
 
 
-def quicksort_mo3(
-    seq: MutableSequence, stats: Optional[SortStats] = None
-) -> SortStats:
+def quicksort_mo3(seq: MutableSequence) -> SortStats:
     """Median-of-three quicksort of seq, ascending, in place.
 
     The pivot of each partition is the median of its first, middle and
@@ -54,8 +45,6 @@ def quicksort_mo3(
     Every exchange, including one of a slot with itself, counts as one
     swap and 3 assignments.
     """
-    if stats is None:
-        stats = SortStats()
     comps = swaps = trips = 0
     # Pending (lo, hi) ranges, inclusive.  The smaller part of each
     # partition is pushed last, so it is sorted first and the stack stays
@@ -113,8 +102,4 @@ def quicksort_mo3(
             stack += [(i + 1, hi), (lo, i - 1)]
         else:
             stack += [(lo, i - 1), (i + 1, hi)]
-    stats.comparisons += comps
-    stats.assignments += 3 * swaps
-    stats.swaps += swaps
-    stats.sort_trips += trips
-    return stats
+    return SortStats(comps, 3 * swaps, swaps, trips)

@@ -29,22 +29,16 @@ PRESCAN_SPAN = 100
 TripHook = Callable[[MutableSequence, int, int], None]
 
 
-def bcis_sort(
-    seq: MutableSequence,
-    stats: Optional[SortStats] = None,
-    trip_hook: Optional[TripHook] = None,
-) -> SortStats:
-    """Sort seq ascending in place.
+def bcis_sort(seq: MutableSequence, trip_hook: Optional[TripHook] = None) -> SortStats:
+    """Sort seq ascending in place and return its counters.
 
-    Counters accumulate into ``stats`` (a fresh record is created when
-    omitted) and the record is returned.  ``trip_hook``, when given, is
-    called as ``trip_hook(seq, sl, sr)`` at the top of every sort trip,
-    before the trip mutates anything; ``seq[sl..sr]`` (0-based, inclusive)
-    is the unsorted window, ``seq[:sl]`` and ``seq[sr + 1:]`` the two runs.
+    ``trip_hook``, when given, is called as ``trip_hook(seq, sl, sr)`` at
+    the top of every sort trip, before the trip mutates anything;
+    ``seq[sl..sr]`` (0-based, inclusive) is the unsorted window,
+    ``seq[:sl]`` and ``seq[sr + 1:]`` the two runs.
     """
-    if stats is None:
-        stats = SortStats()
     comps = assigns = swaps = trips = 0
+    all_equal = False
     last = len(seq) - 1
     sl = 0
     sr = last
@@ -70,7 +64,7 @@ def bcis_sort(
                 k += 1
             if k == sr:
                 comps += sr - sl - 1
-                stats.terminated_by_equal = True
+                all_equal = True
                 break
             comps += k - sl
             seq[sl], seq[k] = seq[k], seq[sl]
@@ -139,8 +133,4 @@ def bcis_sort(
         sl += 1
         sr -= 1
 
-    stats.comparisons += comps
-    stats.assignments += assigns + 3 * swaps
-    stats.swaps += swaps
-    stats.sort_trips += trips
-    return stats
+    return SortStats(comps, assigns + 3 * swaps, swaps, trips, all_equal)

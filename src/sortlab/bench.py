@@ -10,14 +10,13 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from math import log
 from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .baselines import insertion_sort, quicksort_mo3
 from .bcis import bcis_sort
 from .datagen import DatasetSpec, derive_seed, generate
-from .stats import SortStats
 
 ALGORITHMS = {
     "bcis": bcis_sort,
@@ -25,7 +24,7 @@ ALGORITHMS = {
     "qs": quicksort_mo3,
 }
 
-MODES = ("count", "time", "both")
+MODES = ("count", "time")
 
 #: Trial-record fields a ratio table or a scaling fit can be taken over.
 METRICS = ("comparisons", "assignments", "elapsed_ns")
@@ -86,8 +85,10 @@ def run_trial(
 
     Generates the dataset, sorts a clone, and verifies the clone against
     the sorted input before returning a record; a verification failure
-    aborts with the offending spec and seed in the message.
-    Timing modes do one untimed warm-up pass on a separate clone first.
+    aborts with the offending spec and seed in the message.  The record
+    always carries the sort's counters; a ``time`` trial also sets
+    ``elapsed_ns``, timing the sort after one untimed warm-up pass on a
+    separate clone.
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -96,21 +97,14 @@ def run_trial(
     sort = ALGORITHMS[algo]
     data = generate(spec)
 
-    elapsed_ns: Optional[int] = None
-    if mode in ("time", "both"):
-        sort(list(data), stats=SortStats())  # warm-up
-        work = list(data)
-        stats = SortStats()
-        t0 = time.perf_counter_ns()
-        sort(work, stats=stats)
-        elapsed_ns = time.perf_counter_ns() - t0
-    else:
-        work = list(data)
-        stats = SortStats()
-        sort(work, stats=stats)
+    if mode == "time":
+        sort(list(data))  # warm-up
+    work = list(data)
+    t0 = time.perf_counter_ns()
+    stats = sort(work)
+    elapsed_ns = time.perf_counter_ns() - t0 if mode == "time" else None
     _verify(data, work, spec, algo)
 
-    with_counters = mode in ("count", "both")
     return TrialRecord(
         algo=algo,
         dist=spec.kind,
@@ -118,12 +112,8 @@ def run_trial(
         k_param=spec.k_param,
         seed=spec.seed,
         trial=trial,
-        comparisons=stats.comparisons if with_counters else None,
-        assignments=stats.assignments if with_counters else None,
-        swaps=stats.swaps if with_counters else None,
-        sort_trips=stats.sort_trips if with_counters else None,
-        terminated_by_equal=stats.terminated_by_equal if with_counters else None,
         elapsed_ns=elapsed_ns,
+        **asdict(stats),
     )
 
 

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error, 2 verification/acceptance failure,
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
 import sys
 from typing import List, Optional
@@ -201,6 +202,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
     except _IOFailure as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except BrokenPipeError as exc:
+        # The reader closed stdout.  Point it at the null device so the
+        # interpreter's final flush of the buffered rest does not fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"io error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
 
 

@@ -1,13 +1,13 @@
-"""Operation counters threaded through every instrumented sort."""
+"""Operation counters returned by every instrumented sort."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SortStats:
-    """Mutable counter record shared by all algorithms in this package.
+    """Counter record that each sort in this package returns, one per call.
 
     comparisons
         Element-vs-element decisions.  A two-sided classification of one

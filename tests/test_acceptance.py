@@ -7,7 +7,7 @@ the per-criterion PASS/FAIL lines as they complete.
 
 import pytest
 
-from sortlab import acceptance, bench
+from sortlab import SortStats, acceptance, bench
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +75,10 @@ def test_criterion_12_determinism(results):
 
 
 def test_gate_checks_the_multiset(monkeypatch):
-    def sorted_but_lossy(seq, stats=None):
+    def sorted_but_lossy(seq):
         seq.sort()
         seq[0] = seq[1]  # still sorted, but the smallest item is lost
-        return stats
+        return SortStats()
 
     monkeypatch.setitem(bench.ALGORITHMS, "bcis", sorted_but_lossy)
     with pytest.raises(bench.VerificationError):

@@ -2,28 +2,25 @@
 
 import random
 
-from sortlab import SortStats, insertion_sort, quicksort_mo3
+from sortlab import insertion_sort, quicksort_mo3
 
 
 class TestInsertionSort:
     def test_two_elements(self):
         seq = [2, 1]
-        stats = SortStats()
-        insertion_sort(seq, stats=stats)
+        stats = insertion_sort(seq)
         assert seq == [1, 2]
         assert stats.comparisons == 1
 
     def test_ascending_input_one_comparison_per_item(self):
         seq = [1, 2, 3]
-        stats = SortStats()
-        insertion_sort(seq, stats=stats)
+        stats = insertion_sort(seq)
         assert seq == [1, 2, 3]
         assert stats.comparisons == 2
 
     def test_reverse_input_full_shifts(self):
         seq = [3, 2, 1]
-        stats = SortStats()
-        insertion_sort(seq, stats=stats)
+        stats = insertion_sort(seq)
         assert seq == [1, 2, 3]
         assert stats.comparisons == 3
         # 3 shifts plus one key placement per outer iteration
@@ -32,8 +29,7 @@ class TestInsertionSort:
     def test_ascending_large(self):
         n = 500
         seq = list(range(n))
-        stats = SortStats()
-        insertion_sort(seq, stats=stats)
+        stats = insertion_sort(seq)
         assert stats.comparisons == n - 1
         # no shifts: only the key placements
         assert stats.assignments == n - 1
@@ -42,20 +38,19 @@ class TestInsertionSort:
 class TestQuicksortMo3:
     def test_small(self):
         seq = [3, 1, 2]
-        quicksort_mo3(seq, stats=SortStats())
+        quicksort_mo3(seq)
         assert seq == [1, 2, 3]
 
     def test_all_equal_fixed_point(self):
         seq = [1, 1, 1, 1]
-        quicksort_mo3(seq, stats=SortStats())
+        quicksort_mo3(seq)
         assert seq == [1, 1, 1, 1]
 
     def test_large_random_matches_oracle(self):
         rng = random.Random(23)
         data = [rng.randrange(10**6) for _ in range(1000)]
         work = list(data)
-        stats = SortStats()
-        quicksort_mo3(work, stats=stats)
+        stats = quicksort_mo3(work)
         assert work == sorted(data)
         assert stats.assignments == 3 * stats.swaps
 
@@ -64,8 +59,7 @@ class TestQuicksortMo3:
         rng = random.Random(29)
         data = [rng.randrange(5) for _ in range(20000)]
         work = list(data)
-        stats = SortStats()
-        quicksort_mo3(work, stats=stats)
+        stats = quicksort_mo3(work)
         assert work == sorted(data)
         n = len(data)
         assert stats.comparisons < 40 * n  # far below quadratic
@@ -73,5 +67,5 @@ class TestQuicksortMo3:
     def test_sorted_and_reverse(self):
         for data in (list(range(2000)), list(range(2000, 0, -1))):
             work = list(data)
-            quicksort_mo3(work, stats=SortStats())
+            quicksort_mo3(work)
             assert work == sorted(data)

@@ -1,10 +1,12 @@
 """Unit tests for the benchmark harness."""
 
 import io
+from dataclasses import replace
 
 import pytest
 
 from sortlab import (
+    ALGORITHMS,
     CSV_HEADER,
     DatasetSpec,
     SummaryRow,
@@ -55,14 +57,13 @@ class TestRunTrial:
         assert 2 <= rec.comparisons / 10**4 <= 6
 
     def test_time_mode(self):
-        rec = run_trial("qs", DatasetSpec("uniform", 200, seed=1), "time")
-        assert rec.elapsed_ns is not None and rec.elapsed_ns > 0
-        assert rec.comparisons is None
-
-    def test_both_mode(self):
-        rec = run_trial("bcis", DatasetSpec("uniform", 200, seed=1), "both")
-        assert rec.elapsed_ns is not None
-        assert rec.comparisons is not None
+        # A time trial records what the count trial of the same spec does,
+        # plus its elapsed time.
+        spec = DatasetSpec("k_distinct", 200, k_param=5, seed=1)
+        for algo in ALGORITHMS:
+            timed = run_trial(algo, spec, "time")
+            assert timed.elapsed_ns is not None and timed.elapsed_ns > 0
+            assert replace(timed, elapsed_ns=None) == run_trial(algo, spec, "count")
 
     def test_unknown_algo(self):
         with pytest.raises(ValueError):

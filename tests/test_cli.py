@@ -1,8 +1,14 @@
 """End-to-end tests of the command-line harness."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from sortlab import acceptance, bench
+import sortlab
+from sortlab import SortStats, TrialRecord, acceptance, bench, write_csv
 from sortlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from sortlab.bench import CSV_HEADER
 
@@ -82,7 +88,7 @@ def test_timing_mode_records_elapsed(tmp_path):
     for line in lines[1:]:
         fields = line.split(",")
         assert fields[-1] != ""  # elapsed_ns
-        assert fields[6] == ""  # comparisons blank in time mode
+        assert all(fields[6:11])  # the counters are recorded too
 
 
 def test_usage_errors():
@@ -94,6 +100,8 @@ def test_usage_errors():
                  "--out", "/tmp/x.csv"]) == EXIT_USAGE  # invalid dataset spec
     assert main(["summary", "--in", "/tmp/none.csv", "--ratio", "bcisis",
                  "--metric", "comparisons"]) == EXIT_USAGE
+    assert main(["bench", "--algo", "bcis", "--dist", "uniform", "--n", "10",
+                 "--mode", "both", "--out", "/tmp/x.csv"]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
 
 
@@ -129,6 +137,36 @@ def test_malformed_csv_is_an_io_error(tmp_path, capsys, content, command):
     assert "Traceback" not in err
 
 
+def test_closed_stdout_is_an_io_error(tmp_path):
+    # Enough summary rows to overflow the pipe, so the writer is still
+    # writing when the reader goes away.
+    rows = [
+        TrialRecord(algo, "uniform", n, None, 0, 0, n, n, 0, 1, False, None)
+        for n in range(1, 3001)
+        for algo in ("bcis", "qs")
+    ]
+    runs = tmp_path / "runs.csv"
+    with open(runs, "w", encoding="utf-8", newline="") as out:
+        write_csv(rows, out)
+    env = dict(os.environ, PYTHONPATH=str(Path(sortlab.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sortlab.cli", "summary", "--in", str(runs),
+         "--ratio", "bcis:qs", "--metric", "comparisons"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert code == EXIT_IO
+    assert err.startswith("io error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_criteria_are_registered_once_in_order():
     assert [c.number for c in acceptance.CRITERIA] == list(range(1, 13))
     names = [c.name for c in acceptance.CRITERIA]
@@ -144,10 +182,10 @@ def test_skip_timing_reports_the_timing_tables_as_skipped(monkeypatch):
 
 
 def test_verify_reports_a_verification_failure(monkeypatch, capsys):
-    def sorted_but_lossy(seq, stats=None):
+    def sorted_but_lossy(seq):
         seq.sort()
         seq[0] = seq[1]  # still sorted, but the smallest item is lost
-        return stats
+        return SortStats()
 
     monkeypatch.setitem(bench.ALGORITHMS, "bcis", sorted_but_lossy)
     monkeypatch.setattr(

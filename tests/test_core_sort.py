@@ -49,7 +49,7 @@ def _trips(data):
     seen = []
     work = list(data)
     stats = bcis_sort(
-        work, stats=SortStats(), trip_hook=lambda seq, sl, sr: seen.append((sl, sr, list(seq)))
+        work, trip_hook=lambda seq, sl, sr: seen.append((sl, sr, list(seq)))
     )
     assert work == sorted(data)
     return stats, seen
@@ -58,7 +58,7 @@ def _trips(data):
 def test_counts_pinned():
     for name, (data, expected) in PINNED.items():
         work = list(data)
-        stats = bcis_sort(work, stats=SortStats())
+        stats = bcis_sort(work)
         assert work == sorted(data), name
         assert _counts(stats) == expected, name
 
@@ -75,7 +75,7 @@ class TestSwap:
         # Quicksort's final pivot exchange meets i == hi - 1 here and
         # exchanges a slot with itself; it still counts.
         seq = [1, 3, 2, 4]
-        stats = quicksort_mo3(seq, stats=SortStats())
+        stats = quicksort_mo3(seq)
         assert seq == [1, 2, 3, 4]
         assert (stats.swaps, stats.assignments) == (2, 6)
 
@@ -194,20 +194,18 @@ class TestGuardedPrescan:
 class TestBcisSort:
     def test_empty_range(self):
         seq = []
-        stats = SortStats()
-        bcis_sort(seq, stats=stats)
+        stats = bcis_sort(seq)
         assert seq == []
         assert stats == SortStats()
 
     def test_single_element(self):
         seq = [3]
-        bcis_sort(seq, stats=SortStats())
+        bcis_sort(seq)
         assert seq == [3]
 
     def test_all_equal_terminates_in_one_trip(self):
         seq = [5, 5, 5, 5, 5]
-        stats = SortStats()
-        bcis_sort(seq, stats=stats)
+        stats = bcis_sort(seq)
         assert seq == [5] * 5
         assert stats.terminated_by_equal
         assert stats.sort_trips == 1
@@ -215,25 +213,24 @@ class TestBcisSort:
 
     def test_already_sorted_fixed_point(self):
         seq = list(range(1, 8))
-        bcis_sort(seq, stats=SortStats())
+        bcis_sort(seq)
         assert seq == list(range(1, 8))
 
     def test_small_unsorted(self):
         seq = [3, 1, 2]
-        bcis_sort(seq, stats=SortStats())
+        bcis_sort(seq)
         assert seq == [1, 2, 3]
 
     def test_generic_elements(self):
         seq = ["pear", "apple", "fig", "apple"]
-        bcis_sort(seq, stats=SortStats())
+        bcis_sort(seq)
         assert seq == ["apple", "apple", "fig", "pear"]
 
     def test_trip_count_bound(self):
         rng = random.Random(5)
         for n in (2, 3, 10, 101, 500):
             data = [rng.randrange(1000) for _ in range(n)]
-            stats = SortStats()
-            bcis_sort(data, stats=stats)
+            stats = bcis_sort(data)
             assert 1 <= stats.sort_trips <= -(-n // 2) + 1
 
     def test_region_invariants_at_trip_boundaries(self):
@@ -252,5 +249,5 @@ class TestBcisSort:
         rng = random.Random(17)
         for n in (5, 37, 120, 400):
             data = [rng.randrange(50) for _ in range(n)]
-            bcis_sort(data, stats=SortStats(), trip_hook=hook)
+            bcis_sort(data, trip_hook=hook)
             assert data == sorted(data)

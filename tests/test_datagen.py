@@ -2,7 +2,7 @@
 
 import pytest
 
-from sortlab import DatasetSpec, DatasetSpecError, SortStats, bcis_sort, generate, validate
+from sortlab import DatasetSpec, DatasetSpecError, bcis_sort, generate, validate
 from sortlab.datagen import VALUE_RANGE, derive_seed, sweep_sizes
 
 
@@ -74,7 +74,7 @@ class TestSmallConstructions:
         data = generate(DatasetSpec(kind, n, seed=4))
         assert len(set(data)) == n
         work = list(data)
-        bcis_sort(work, stats=SortStats())
+        bcis_sort(work)
         assert work == sorted(data)
 
     @pytest.mark.parametrize("n", [10, 50, 99])
@@ -82,9 +82,8 @@ class TestSmallConstructions:
         # every insertion goes left at constant cost: linear totals
         for t in range(20):
             spec = DatasetSpec("best_small", n, seed=derive_seed(0, n, t))
-            stats = SortStats()
             work = generate(spec)
-            bcis_sort(work, stats=stats)
+            stats = bcis_sort(work)
             assert stats.sort_trips == 1
             assert stats.comparisons <= 3 * n
             assert stats.assignments <= 3 * n
@@ -94,9 +93,8 @@ class TestSmallConstructions:
         target = n * (n - 1) / 2
         for t in range(20):
             spec = DatasetSpec("worst_small", n, seed=derive_seed(1, n, t))
-            stats = SortStats()
             work = generate(spec)
-            bcis_sort(work, stats=stats)
+            stats = bcis_sort(work)
             assert 0.9 * target <= stats.comparisons <= 1.1 * target
 
     def test_worst_n6_hand_trace(self):

@@ -1,10 +1,12 @@
 """Unit tests for the closed-form cost models."""
 
 import math
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from sortlab import models
+from sortlab import insertion_sort, models
 
 
 def test_is_avg_comparisons():
@@ -102,6 +104,18 @@ def test_models_monotone_in_n():
     for func in funcs:
         values = [func(n) for n in ns]
         assert all(a < b for a, b in zip(values, values[1:])), func.__name__
+
+
+def test_is_avg_comparisons_residual_to_exact_mean():
+    # Insertion sort over every permutation gives Knuth's exact mean; the
+    # paper's formula is high by H_n - 1.
+    for n in range(1, 9):
+        perms = list(permutations(range(n)))
+        mean = Fraction(sum(insertion_sort(list(p)).comparisons for p in perms), len(perms))
+        harmonic = sum(Fraction(1, i) for i in range(1, n + 1))
+        exact = Fraction(n * (n - 1), 4) + n - harmonic
+        assert mean == exact
+        assert Fraction(models.is_avg_comparisons(n)) - exact == harmonic - 1
 
 
 def test_negative_n_rejected():
