@@ -16,10 +16,10 @@ import io
 import statistics
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from . import models
-from .bench import ALGORITHMS, VerificationError, fit_scaling_exponent, run_suite, run_trial, write_csv
+from .bench import ALGORITHMS, VerificationError, _verify, fit_scaling_exponent, run_suite, run_trial, write_csv
 from .datagen import DatasetSpec, derive_seed
 # Unused here; kept because perfbench/tracing.py wraps acceptance.generate by name.
 from .datagen import generate  # noqa: F401
@@ -72,10 +72,10 @@ def criterion(number: int, name: str, report_only: bool = False):
     return register
 
 
-def _mean_counts(algo: str, kind: str, n: int, label: str, trials: int = AVG_TRIALS):
+def _mean_counts(algo: str, kind: str, n: int, label: str):
     comps = []
     assigns = []
-    for t in range(trials):
+    for t in range(AVG_TRIALS):
         seed = derive_seed(BASE_SEED, label, algo, kind, n, t)
         rec = run_trial(algo, DatasetSpec(kind, n, seed=seed))
         comps.append(rec.comparisons)
@@ -85,29 +85,28 @@ def _mean_counts(algo: str, kind: str, n: int, label: str, trials: int = AVG_TRI
 
 @criterion(1, "correctness")
 def check_correctness(cache: Cache) -> Verdict:
-    """Exhaustive small inputs plus randomized oracle equivalence."""
+    """Exhaustive small inputs plus randomized oracle equivalence; a wrong
+    output raises :class:`VerificationError` naming the sort and input."""
     import random
 
     cases = 0
     for length in range(11):
         for tup in product((0, 1, 2), repeat=length):
-            expected = sorted(tup)
+            expected = list(tup)  # the first _verify sorts it in place
             for algo, sort in ALGORITHMS.items():
                 work = list(tup)
                 sort(work)
-                if work != expected:
-                    return False, f"{algo} failed on {tup!r}"
+                _verify(expected, work, f"{algo} on {tup!r}")
             cases += 1
     rng = random.Random(derive_seed(BASE_SEED, "oracle"))
     for _ in range(1000):
         n = rng.randrange(0, 2001)
         data = [rng.randrange(0, 2**31) for _ in range(n)]
-        expected = sorted(data)
+        expected = list(data)
         for algo, sort in ALGORITHMS.items():
             work = list(data)
             sort(work)
-            if work != expected:
-                return False, f"{algo} failed on random n={n}"
+            _verify(expected, work, f"{algo} on random n={n}")
         cases += 1
     return True, f"{cases} cases, zero failures"
 
@@ -334,11 +333,9 @@ def check_determinism(cache: Cache) -> Verdict:
     return ok, "identical invocations give byte-identical CSV" if ok else "CSV bytes differ"
 
 
-def run_acceptance(
-    emit: Optional[Callable[[str], None]] = print,
-    skip_timing: bool = False,
-) -> List[CheckResult]:
-    """Run every criterion; returns all results in order.
+def run_acceptance(skip_timing: bool = False) -> List[CheckResult]:
+    """Run every criterion, printing each result line as it completes;
+    returns all results in order.
 
     ``skip_timing`` drops the report-only criteria (the wall-time tables,
     #11), which cannot fail but take a while.  A criterion whose trial
@@ -357,10 +354,5 @@ def run_acceptance(
                     check.number, check.name, False, f"verification failure: {exc}"
                 )
         results.append(result)
-        if emit is not None:
-            emit(result.line())
+        print(result.line())
     return results
-
-
-def passed(results: List[CheckResult]) -> bool:
-    return all(r.passed for r in results)

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .baselines import insertion_sort, quicksort_mo3
 from .bcis import bcis_sort
-from .datagen import DatasetSpec, derive_seed, generate
+from .datagen import DatasetSpec, DatasetSpecError, derive_seed, generate, validate
 
 ALGORITHMS = {
     "bcis": bcis_sort,
@@ -42,11 +42,11 @@ class TrialRecord:
     k_param: Optional[int]
     seed: int
     trial: int
-    comparisons: Optional[int]
-    assignments: Optional[int]
-    swaps: Optional[int]
-    sort_trips: Optional[int]
-    terminated_by_equal: Optional[bool]
+    comparisons: int
+    assignments: int
+    swaps: int
+    sort_trips: int
+    terminated_by_equal: bool
     elapsed_ns: Optional[int]
 
 
@@ -65,17 +65,29 @@ class SummaryRow:
     dispersion: float
 
 
-def _verify(original: List, result: Sequence, spec: DatasetSpec, algo: str) -> None:
-    """Check that ``result`` equals ``original`` sorted, which for the total
-    orders datagen emits means sorted with the multiset kept.  Sorts
-    ``original`` in place, so no third n-sized list is held."""
+def _verify(original: List, result: Sequence, what: str) -> None:
+    """Check that ``result`` equals ``original`` sorted, which for total
+    orders means sorted with the multiset kept; ``what`` names the sort and
+    its input in the error.  Sorts ``original`` in place, so no third
+    n-sized list is held."""
     original.sort()
     if result == original:
         return
     raise VerificationError(
-        f"{algo} corrupted its input: spec={spec!r} "
+        f"{what}: output is not the sorted input "
         f"(first elements {list(result[:12])!r})"
     )
+
+
+def _check_trial(algo: str, spec: DatasetSpec, mode: str) -> None:
+    """Raise ``ValueError`` unless ``algo`` on ``spec`` can run in ``mode``."""
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {tuple(ALGORITHMS)}")
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    violations = validate(spec)
+    if violations:
+        raise DatasetSpecError(violations)
 
 
 def run_trial(
@@ -83,17 +95,15 @@ def run_trial(
 ) -> TrialRecord:
     """Run one (algorithm, dataset) measurement.
 
-    Generates the dataset, sorts a clone, and verifies the clone against
-    the sorted input before returning a record; a verification failure
-    aborts with the offending spec and seed in the message.  The record
-    always carries the sort's counters; a ``time`` trial also sets
+    Raises ``ValueError`` for an unknown algorithm or mode or an invalid
+    spec.  Generates the dataset, sorts a clone, and verifies the clone
+    against the sorted input before returning a record; a verification
+    failure aborts with the offending spec and seed in the message.  The
+    record always carries the sort's counters; a ``time`` trial also sets
     ``elapsed_ns``, timing the sort after one untimed warm-up pass on a
     separate clone.
     """
-    if algo not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algo!r}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_trial(algo, spec, mode)
     sort = ALGORITHMS[algo]
     data = generate(spec)
 
@@ -103,7 +113,7 @@ def run_trial(
     t0 = time.perf_counter_ns()
     stats = sort(work)
     elapsed_ns = time.perf_counter_ns() - t0 if mode == "time" else None
-    _verify(data, work, spec, algo)
+    _verify(data, work, f"{algo} on {spec!r}, trial {trial}")
 
     return TrialRecord(
         algo=algo,
@@ -125,31 +135,33 @@ def run_suite(
 ) -> List[TrialRecord]:
     """Run every (algo, spec, trials) grid entry.
 
-    Per-trial dataset seeds are split deterministically from
-    (base_seed, algo, spec, trial), so a suite is reproducible and trials
-    are independent.  Output order follows grid order, then trial order.
+    Every entry is checked before the first trial runs: an empty grid, an
+    unknown algorithm or mode, fewer than one trial or an invalid spec is
+    a ``ValueError``.  Per-trial dataset seeds are split deterministically
+    from (base_seed, algo, spec, trial), so a suite is reproducible and
+    trials are independent.  Output order follows grid order, then trial
+    order.
     """
     entries = list(grid)
     if not entries:
         raise ValueError("empty benchmark grid")
-    records: List[TrialRecord] = []
     for algo, spec, trials in entries:
+        _check_trial(algo, spec, mode)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+    records: List[TrialRecord] = []
+    for algo, spec, trials in entries:
         for trial in range(trials):
             seed = derive_seed(
                 base_seed, algo, spec.kind, spec.n, spec.k_param, spec.seed, trial
             )
-            try:
-                records.append(run_trial(algo, replace(spec, seed=seed), mode, trial))
-            except VerificationError as exc:
-                raise VerificationError(
-                    f"grid entry (algo={algo}, spec={spec!r}, trial={trial}): {exc}"
-                ) from exc
+            records.append(run_trial(algo, replace(spec, seed=seed), mode, trial))
     return records
 
 
-def _metric_value(record: TrialRecord, metric: str) -> float:
+def metric_value(record: TrialRecord, metric: str) -> float:
+    """``record``'s ``metric`` as a float; ``ValueError`` when the record
+    lacks it, as a count trial lacks ``elapsed_ns``."""
     value = getattr(record, metric)
     if value is None:
         raise ValueError(
@@ -183,7 +195,7 @@ def ratio_table(
         by_trial = groups.setdefault(key, {}).setdefault(rec.algo, {})
         if rec.trial in by_trial:
             raise ValueError(f"dataset {key} has trial {rec.trial} twice for {rec.algo!r}")
-        by_trial[rec.trial] = _metric_value(rec, metric)
+        by_trial[rec.trial] = metric_value(rec, metric)
 
     rows: List[SummaryRow] = []
     for key in sorted(groups, key=lambda k: (k[0], k[1], k[2] or 0)):
@@ -254,7 +266,9 @@ def write_csv(rows: Iterable, out: TextIO) -> None:
 
 def _parse_field(name: str, text: str):
     if text == "":
-        return None
+        if name in ("k_param", "elapsed_ns"):
+            return None
+        raise ValueError(f"{name} must not be blank")
     if name == "terminated_by_equal":
         if text not in ("true", "false"):
             raise ValueError(f"terminated_by_equal must be true or false, got {text!r}")

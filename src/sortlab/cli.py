@@ -26,12 +26,13 @@ from .bench import (
     MODES,
     VerificationError,
     fit_scaling_exponent,
+    metric_value,
     ratio_table,
     read_csv,
     run_suite,
     write_csv,
 )
-from .datagen import KINDS, DatasetSpec, DatasetSpecError, sweep_sizes
+from .datagen import KINDS, DatasetSpec, sweep_sizes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,26 +99,19 @@ def build_parser() -> _Parser:
 
 def _cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
-    if not algos or any(a not in ALGORITHMS for a in algos):
-        raise UsageError(f"--algo must name algorithms among {tuple(ALGORITHMS)}")
-    try:
-        sizes = sweep_sizes(args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
     trials = args.trials
     if trials is None:
         trials = 1 if args.dist in DETERMINISTIC_DISTS else 20
-    if trials < 1:
-        raise UsageError("--trials must be >= 1")
-    grid = []
-    for algo in algos:
-        for n in sizes:
-            spec = DatasetSpec(args.dist, n, k_param=args.k_param)
-            grid.append((algo, spec, trials))
     try:
+        sizes = sweep_sizes(args.n)
+        grid = [
+            (algo, DatasetSpec(args.dist, n, k_param=args.k_param), trials)
+            for algo in algos
+            for n in sizes
+        ]
         records = run_suite(grid, mode=args.mode, base_seed=args.seed)
-    except DatasetSpecError as exc:
-        raise UsageError(f"invalid dataset: {exc}")
+    except ValueError as exc:
+        raise UsageError(str(exc))
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -166,14 +160,11 @@ def _cmd_summary(args) -> int:
 def _cmd_fit(args) -> int:
     records = _read_file(args.infile)
     by_n = {}
-    for rec in records:
-        if rec.algo == args.algo and rec.dist == args.dist:
-            value = getattr(rec, args.metric)
-            if value is None:
-                raise UsageError(f"records lack {args.metric}; rerun in another mode")
-            by_n.setdefault(rec.n, []).append(float(value))
-    points = [(n, statistics.fmean(vals)) for n, vals in sorted(by_n.items())]
     try:
+        for rec in records:
+            if rec.algo == args.algo and rec.dist == args.dist:
+                by_n.setdefault(rec.n, []).append(metric_value(rec, args.metric))
+        points = [(n, statistics.fmean(vals)) for n, vals in sorted(by_n.items())]
         slope = fit_scaling_exponent(points)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -182,8 +173,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = acceptance.run_acceptance(emit=print, skip_timing=args.skip_timing)
-    return EXIT_OK if acceptance.passed(results) else EXIT_VERIFICATION
+    results = acceptance.run_acceptance(skip_timing=args.skip_timing)
+    return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFICATION
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -13,7 +13,7 @@ from sortlab import SortStats, acceptance, bench
 @pytest.fixture(scope="module")
 def results():
     out = {}
-    for result in acceptance.run_acceptance(emit=print):
+    for result in acceptance.run_acceptance():
         out[result.number] = result
     return out
 
@@ -74,12 +74,26 @@ def test_criterion_12_determinism(results):
     _assert(results, 12)
 
 
-def test_gate_checks_the_multiset(monkeypatch):
-    def sorted_but_lossy(seq):
-        seq.sort()
+def sorted_but_lossy(seq):
+    seq.sort()
+    if len(seq) > 1:
         seq[0] = seq[1]  # still sorted, but the smallest item is lost
-        return SortStats()
+    return SortStats()
 
+
+def test_gate_checks_the_multiset(monkeypatch):
     monkeypatch.setitem(bench.ALGORITHMS, "bcis", sorted_but_lossy)
     with pytest.raises(bench.VerificationError):
         acceptance.check_sorted_bound({})
+
+
+def test_correctness_runs_the_verifier(monkeypatch, capsys):
+    monkeypatch.setitem(bench.ALGORITHMS, "bcis", sorted_but_lossy)
+    with pytest.raises(bench.VerificationError, match=r"^bcis on \(0, 1\): "):
+        acceptance.check_correctness({})
+    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.check_correctness])
+    (result,) = acceptance.run_acceptance()
+    assert not result.passed
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [result.line()]
+    assert lines[0].startswith("FAIL   1. correctness: verification failure: bcis on (0, 1): ")

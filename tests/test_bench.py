@@ -12,6 +12,8 @@ from sortlab import (
     SummaryRow,
     TrialRecord,
     VerificationError,
+    bcis_sort,
+    bench,
     fit_scaling_exponent,
     ratio_table,
     read_csv,
@@ -70,10 +72,10 @@ class TestRunTrial:
             run_trial("heapsort", DatasetSpec("uniform", 10), "count")
 
     def test_verifier_catches_corruption(self):
-        with pytest.raises(VerificationError):
-            _verify([1, 2, 3], [3, 2, 1], DatasetSpec("uniform", 3), "bcis")
-        with pytest.raises(VerificationError):
-            _verify([1, 2, 3], [1, 2, 4], DatasetSpec("uniform", 3), "bcis")
+        with pytest.raises(VerificationError, match="^bcis on uniform 3: "):
+            _verify([1, 2, 3], [3, 2, 1], "bcis on uniform 3")
+        with pytest.raises(VerificationError, match="^bcis on uniform 3: "):
+            _verify([1, 2, 3], [1, 2, 4], "bcis on uniform 3")
 
 
 class TestRunSuite:
@@ -91,6 +93,28 @@ class TestRunSuite:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             run_suite([])
+
+    @pytest.mark.parametrize(
+        "bad, mode",
+        [
+            (("heapsort", DatasetSpec("uniform", 10), 1), "count"),
+            (("bcis", DatasetSpec("uniform", 10), 0), "count"),
+            (("bcis", DatasetSpec("k_distinct", 10, k_param=50), 1), "count"),
+            (("bcis", DatasetSpec("uniform", 10), 1), "both"),
+        ],
+        ids=["unknown-algo", "no-trials", "invalid-spec", "unknown-mode"],
+    )
+    def test_bad_grid_runs_no_trial(self, monkeypatch, bad, mode):
+        calls = []
+
+        def counting_bcis(seq):
+            calls.append(len(seq))
+            return bcis_sort(seq)
+
+        monkeypatch.setitem(bench.ALGORITHMS, "bcis", counting_bcis)
+        with pytest.raises(ValueError):
+            run_suite([("bcis", DatasetSpec("uniform", 50), 2), bad], mode=mode)
+        assert calls == []
 
 
 class TestRatioTable:
@@ -117,11 +141,10 @@ class TestRatioTable:
             ratio_table([_record(algo="bcis")], "bcis", "is", "comparisons")
 
     def test_missing_metric(self):
-        records = [
-            _record(algo=a, comparisons=None, elapsed_ns=None) for a in ("bcis", "is")
-        ]
-        with pytest.raises(ValueError):
-            ratio_table(records, "bcis", "is", "comparisons")
+        # Count records carry no elapsed_ns.
+        records = [_record(algo=a) for a in ("bcis", "is")]
+        with pytest.raises(ValueError, match="has no elapsed_ns"):
+            ratio_table(records, "bcis", "is", "elapsed_ns")
 
     def test_pairs_trials_by_id(self):
         records = [

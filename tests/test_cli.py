@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import sortlab
-from sortlab import SortStats, TrialRecord, acceptance, bench, write_csv
+from sortlab import SortStats, TrialRecord, acceptance, bench, insertion_sort, write_csv
 from sortlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from sortlab.bench import CSV_HEADER
 
@@ -105,6 +105,40 @@ def test_usage_errors():
     assert main(["nonsense"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--algo", "is", "--dist", "k_distinct", "--k-param", "50", "--n", "400,10",
+         "--trials", "5"],
+        ["--algo", "is,heapsort", "--dist", "uniform", "--n", "100"],
+    ],
+    ids=["invalid-later-size", "unknown-later-algo"],
+)
+def test_bad_grid_is_a_usage_error_before_any_trial(tmp_path, monkeypatch, capsys, argv):
+    calls = []
+
+    def counting_is(seq):
+        calls.append(len(seq))
+        return insertion_sort(seq)
+
+    monkeypatch.setitem(bench.ALGORITHMS, "is", counting_is)
+    out = tmp_path / "x.csv"
+    assert main(["bench", *argv, "--out", str(out)]) == EXIT_USAGE
+    assert calls == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_fit_without_the_metric_is_a_usage_error(tmp_path, capsys):
+    runs = tmp_path / "runs.csv"
+    assert main(["bench", "--algo", "is", "--dist", "uniform", "--n", "10,20,40",
+                 "--trials", "1", "--out", str(runs)]) == EXIT_OK
+    assert main(["fit", "--in", str(runs), "--algo", "is", "--dist", "uniform",
+                 "--metric", "elapsed_ns"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "usage error: record is/uniform/n=10 trial 0 has no elapsed_ns (wrong mode?)\n"
+
+
 def test_io_errors(tmp_path):
     assert main(["summary", "--in", str(tmp_path / "missing.csv"),
                  "--ratio", "bcis:is", "--metric", "comparisons"]) == EXIT_IO
@@ -120,8 +154,10 @@ def test_io_errors(tmp_path):
         (CSV_HEADER + "\nbcis,uniform,ten,,1,0,5,5,0,1,false,\n").encode(),  # n not an int
         CSV_HEADER.encode() + b"\nbcis,\xff\xfe,10,,1,0,5,5,0,1,false,\n",  # not UTF-8
         (CSV_HEADER + "\nbcis,uniform,10,,1,0,5,5,0,1,True,\n").encode(),  # not true/false
+        (CSV_HEADER + "\nbcis,uniform,10,,1,0,,5,0,1,false,\n").encode(),  # no comparisons
     ],
-    ids=["foreign-header", "truncated-row", "non-integer", "non-utf8", "non-boolean"],
+    ids=["foreign-header", "truncated-row", "non-integer", "non-utf8", "non-boolean",
+         "blank-counter"],
 )
 @pytest.mark.parametrize("command", ["summary", "fit"])
 def test_malformed_csv_is_an_io_error(tmp_path, capsys, content, command):
@@ -174,11 +210,12 @@ def test_criteria_are_registered_once_in_order():
     assert [c.number for c in acceptance.CRITERIA if c.report_only] == [11]
 
 
-def test_skip_timing_reports_the_timing_tables_as_skipped(monkeypatch):
+def test_skip_timing_reports_the_timing_tables_as_skipped(monkeypatch, capsys):
     monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.check_timing_report])
-    (result,) = acceptance.run_acceptance(emit=None, skip_timing=True)
+    (result,) = acceptance.run_acceptance(skip_timing=True)
     assert (result.number, result.report_only, result.detail) == (11, True, "skipped")
     assert result.line().startswith("INFO  11. ")
+    assert capsys.readouterr().out == result.line() + "\n"
 
 
 def test_verify_reports_a_verification_failure(monkeypatch, capsys):
