@@ -7,6 +7,7 @@ Both use the same signature and counting convention as
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import MutableSequence
 
 from .stats import SortStats
@@ -17,19 +18,24 @@ def insertion_sort(seq: MutableSequence) -> SortStats:
 
     One sorted run anchored at the left grows by one element per outer
     iteration.  Shifts count one assignment each; the final placement of
-    the key counts one more.
+    the key counts one more.  The counters are those of the linear scan;
+    past the first shift, the stop index is found by binary search and the
+    run moved by one slice assignment.
     """
     comps = 0
     assigns = 0
     for i in range(1, len(seq)):
         key = seq[i]
         j = i - 1
-        while j >= 0 and key < seq[j]:
-            seq[j + 1] = seq[j]
+        if key < seq[j]:
+            seq[i] = seq[j]
             j -= 1
+            if j >= 0 and key < seq[j]:
+                j = bisect_right(seq, key, 0, j) - 1
+                seq[j + 2:i] = seq[j + 1:i - 1]
         seq[j + 1] = key
-        # One guard per shift, plus the one that stopped the loop unless
-        # key went past the whole run.
+        # The linear scan's counts: one guard per shift, plus the one that
+        # stopped it unless key went past the whole run.
         comps += i - 1 - j + (j >= 0)
         assigns += i - j
     return SortStats(comps, assigns, 0, max(len(seq) - 1, 0))

@@ -268,10 +268,10 @@ def _parse_field(name: str, text: str):
     if text == "":
         if name in ("k_param", "elapsed_ns"):
             return None
-        raise ValueError(f"{name} must not be blank")
+        raise ValueError("must not be blank")
     if name == "terminated_by_equal":
         if text not in ("true", "false"):
-            raise ValueError(f"terminated_by_equal must be true or false, got {text!r}")
+            raise ValueError(f"must be true or false, got {text!r}")
         return text == "true"
     if name in ("algo", "dist"):
         return text
@@ -280,7 +280,8 @@ def _parse_field(name: str, text: str):
 
 def read_csv(source: TextIO) -> List[TrialRecord]:
     """Parse a trial CSV written by :func:`write_csv`; raises ``ValueError``
-    on a foreign header, a short or long row, or a malformed number."""
+    on a foreign header, a short or long row, or a malformed field, naming
+    the line (and the column of a bad field)."""
     names = CSV_HEADER.split(",")
     reader = csv.reader(source)
     header = next(reader, None)
@@ -292,6 +293,11 @@ def read_csv(source: TextIO) -> List[TrialRecord]:
             raise ValueError(
                 f"line {reader.line_num}: {len(row)} fields, expected {len(names)}"
             )
-        values = {name: _parse_field(name, text) for name, text in zip(names, row)}
+        values = {}
+        for name, text in zip(names, row):
+            try:
+                values[name] = _parse_field(name, text)
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {name}: {exc}") from None
         out.append(TrialRecord(**values))
     return out

@@ -249,3 +249,21 @@ class TestCsv:
         text = buf.getvalue().rsplit(",", 1)[0] + "\n"  # drop the last field
         with pytest.raises(ValueError, match="line 3"):
             read_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "column, text, message",
+        [
+            ("comparisons", "", "must not be blank"),
+            ("n", "ten", "invalid literal for int"),
+            ("terminated_by_equal", "True", "must be true or false, got 'True'"),
+        ],
+    )
+    def test_bad_field_names_its_line_and_column(self, column, text, message):
+        buf = io.StringIO()
+        write_csv([_record(trial=t) for t in range(3)], buf)
+        lines = buf.getvalue().split("\n")
+        fields = lines[2].split(",")
+        fields[CSV_HEADER.split(",").index(column)] = text
+        lines[2] = ",".join(fields)  # the second row, on line 3
+        with pytest.raises(ValueError, match=f"^line 3: {column}: {message}"):
+            read_csv(io.StringIO("\n".join(lines)))

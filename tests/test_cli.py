@@ -173,6 +173,21 @@ def test_malformed_csv_is_an_io_error(tmp_path, capsys, content, command):
     assert "Traceback" not in err
 
 
+def test_bad_field_error_names_its_line(tmp_path, capsys):
+    rows = [TrialRecord("bcis", "uniform", 10, None, 1, t, 5, 5, 0, 1, False, None)
+            for t in range(3)]
+    runs = tmp_path / "runs.csv"
+    with open(runs, "w", encoding="utf-8", newline="") as out:
+        write_csv(rows, out)
+    lines = runs.read_text(encoding="utf-8").split("\n")
+    lines[2] = lines[2].replace(",5,5,0,1,", ",,5,0,1,")  # blank comparisons on line 3
+    runs.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["summary", "--in", str(runs), "--ratio", "bcis:is",
+                 "--metric", "comparisons"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err == f"io error: cannot read {runs}: line 3: comparisons: must not be blank\n"
+
+
 def test_closed_stdout_is_an_io_error(tmp_path):
     # Enough summary rows to overflow the pipe, so the writer is still
     # writing when the reader goes away.
