@@ -136,19 +136,25 @@ def run_suite(
     """Run every (algo, spec, trials) grid entry.
 
     Every entry is checked before the first trial runs: an empty grid, an
-    unknown algorithm or mode, fewer than one trial or an invalid spec is
-    a ``ValueError``.  Per-trial dataset seeds are split deterministically
-    from (base_seed, algo, spec, trial), so a suite is reproducible and
-    trials are independent.  Output order follows grid order, then trial
-    order.
+    unknown algorithm or mode, fewer than one trial, an invalid spec or a
+    repeated (algo, kind, n, k_param) cell, which would repeat trial ids,
+    is a ``ValueError``.  Per-trial dataset seeds are split
+    deterministically from (base_seed, algo, spec, trial), so a suite is
+    reproducible and trials are independent.  Output order follows grid
+    order, then trial order.
     """
     entries = list(grid)
     if not entries:
         raise ValueError("empty benchmark grid")
+    cells = set()
     for algo, spec, trials in entries:
         _check_trial(algo, spec, mode)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
+        cell = (algo, spec.kind, spec.n, spec.k_param)
+        if cell in cells:
+            raise ValueError(f"grid cell {cell} appears twice")
+        cells.add(cell)
     records: List[TrialRecord] = []
     for algo, spec, trials in entries:
         for trial in range(trials):

@@ -7,8 +7,9 @@ Subcommands::
     sortlab fit     --in runs.csv --algo bcis --dist uniform --metric comparisons
     sortlab verify
 
-Exit codes: 0 success, 1 usage error, 2 verification/acceptance failure,
-3 I/O error or malformed input CSV.
+Exit codes: 0 success, 1 usage error (any ``ValueError``, such as a bad or
+repeated grid cell), 2 verification/acceptance failure, 3 I/O error or
+malformed input CSV.  Only :func:`main` maps exceptions to exit codes.
 """
 
 from __future__ import annotations
@@ -43,7 +44,11 @@ EXIT_IO = 3
 DETERMINISTIC_DISTS = ("sorted", "reverse", "equal")
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
+    pass
+
+
+class _IOFailure(Exception):
     pass
 
 
@@ -102,19 +107,13 @@ def _cmd_bench(args) -> int:
     trials = args.trials
     if trials is None:
         trials = 1 if args.dist in DETERMINISTIC_DISTS else 20
-    try:
-        sizes = sweep_sizes(args.n)
-        grid = [
-            (algo, DatasetSpec(args.dist, n, k_param=args.k_param), trials)
-            for algo in algos
-            for n in sizes
-        ]
-        records = run_suite(grid, mode=args.mode, base_seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    except VerificationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+    sizes = sweep_sizes(args.n)
+    grid = [
+        (algo, DatasetSpec(args.dist, n, k_param=args.k_param), trials)
+        for algo in algos
+        for n in sizes
+    ]
+    records = run_suite(grid, mode=args.mode, base_seed=args.seed)
     _write_file(args.out, records)
     return EXIT_OK
 
@@ -125,10 +124,6 @@ def _write_file(path: str, rows) -> None:
             write_csv(rows, out)
     except OSError as exc:
         raise _IOFailure(f"cannot write {path}: {exc}")
-
-
-class _IOFailure(Exception):
-    pass
 
 
 def _read_file(path: str):
@@ -145,11 +140,7 @@ def _cmd_summary(args) -> int:
     num, den = args.ratio.split(":", 1)
     if num not in ALGORITHMS or den not in ALGORITHMS:
         raise UsageError(f"ratio algos must be among {tuple(ALGORITHMS)}")
-    records = _read_file(args.infile)
-    try:
-        rows = ratio_table(records, num, den, args.metric)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    rows = ratio_table(_read_file(args.infile), num, den, args.metric)
     if args.out:
         _write_file(args.out, rows)
     else:
@@ -158,16 +149,12 @@ def _cmd_summary(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    records = _read_file(args.infile)
     by_n = {}
-    try:
-        for rec in records:
-            if rec.algo == args.algo and rec.dist == args.dist:
-                by_n.setdefault(rec.n, []).append(metric_value(rec, args.metric))
-        points = [(n, statistics.fmean(vals)) for n, vals in sorted(by_n.items())]
-        slope = fit_scaling_exponent(points)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    for rec in _read_file(args.infile):
+        if rec.algo == args.algo and rec.dist == args.dist:
+            by_n.setdefault(rec.n, []).append(metric_value(rec, args.metric))
+    points = [(n, statistics.fmean(vals)) for n, vals in sorted(by_n.items())]
+    slope = fit_scaling_exponent(points)
     print(f"{slope:.6f}")
     return EXIT_OK
 
@@ -188,9 +175,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             "verify": _cmd_verify,
         }[args.command]
         return handler(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except VerificationError as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except _IOFailure as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

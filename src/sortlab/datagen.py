@@ -14,6 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
+from .bcis import PRESCAN_SPAN
+
 #: Recognized dataset kinds.
 KINDS = (
     "uniform",
@@ -24,10 +26,6 @@ KINDS = (
     "best_small",
     "worst_small",
 )
-
-#: Spans at and above this defeat the small-n best/worst constructions,
-#: because the sorter's guarded pre-scan displaces their comparators.
-SMALL_CONSTRUCTION_LIMIT = 100
 
 #: Inclusive bounds of the values drawn by ``uniform``, ``equal`` and
 #: ``k_distinct``.
@@ -67,10 +65,10 @@ def validate(spec: DatasetSpec) -> List[str]:
             )
     elif spec.k_param is not None:
         out.append(f"k_param only applies to k_distinct, got kind={spec.kind!r}")
-    if spec.kind in ("best_small", "worst_small") and spec.n >= SMALL_CONSTRUCTION_LIMIT:
-        out.append(
-            f"{spec.kind} requires n < {SMALL_CONSTRUCTION_LIMIT}, got n={spec.n}"
-        )
+    # From PRESCAN_SPAN up, the pre-scan displaces the constructions'
+    # comparators, so they no longer force their best or worst case.
+    if spec.kind in ("best_small", "worst_small") and spec.n >= PRESCAN_SPAN:
+        out.append(f"{spec.kind} requires n < {PRESCAN_SPAN}, got n={spec.n}")
     return out
 
 

@@ -74,6 +74,28 @@ def test_criterion_12_determinism(results):
     _assert(results, 12)
 
 
+#: The line of every criterion but the report-only #11, as printed by
+#: ``sortlab verify``.  The details carry the gate's counts, so a changed
+#: count shows here even when its criterion still passes.
+GATE_LINES = {
+    1: "PASS   1. correctness: 89573 cases, zero failures",
+    2: "PASS   2. all-equal linearity: comps <= 2n (max comps/n=1.000), 1 trip",
+    3: "PASS   3. sorted-array bound: n=10000: comps/n=3.991, n=100000: comps/n=3.999 in [2, 6]",
+    4: "PASS   4. reverse-sorted bound: n=1000: 0.9981, n=10000: 0.9998 in [0.8, 1.3]",
+    5: "PASS   5. small-n worst construction: comps within 10% of n(n-1)/2 (max deviation 2.2%)",
+    6: "PASS   6. small-n best construction: comps and assigns <= 3n at n in {10,50,99}",
+    7: "PASS   7. average-case scaling: slope=1.488 in [1.35, 1.65]; assigns < comps; 2^13 measured/model=0.606",
+    8: "PASS   8. insertion-sort fidelity: n=1000: 1.0085, n=10000: 0.9997 in [0.9, 1.1]",
+    9: "PASS   9. bcis/is comparison ratio: n=10^4: 0.0275 in [0.02, 0.10]",
+    10: "PASS  10. cost-model units: 31 substitutions exact; k-sweep minimum near sqrt(n)",
+    12: "PASS  12. count-mode determinism: identical invocations give byte-identical CSV",
+}
+
+
+def test_gate_lines_are_pinned(results):
+    assert {n: r.line() for n, r in results.items() if n != 11} == GATE_LINES
+
+
 def sorted_but_lossy(seq):
     seq.sort()
     if len(seq) > 1:

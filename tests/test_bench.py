@@ -101,8 +101,9 @@ class TestRunSuite:
             (("bcis", DatasetSpec("uniform", 10), 0), "count"),
             (("bcis", DatasetSpec("k_distinct", 10, k_param=50), 1), "count"),
             (("bcis", DatasetSpec("uniform", 10), 1), "both"),
+            (("bcis", DatasetSpec("uniform", 50, seed=3), 1), "count"),
         ],
-        ids=["unknown-algo", "no-trials", "invalid-spec", "unknown-mode"],
+        ids=["unknown-algo", "no-trials", "invalid-spec", "unknown-mode", "repeated-cell"],
     )
     def test_bad_grid_runs_no_trial(self, monkeypatch, bad, mode):
         calls = []

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -33,6 +34,17 @@ def test_count_mode_is_byte_reproducible(tmp_path):
     assert main(args + ["--out", str(a)]) == EXIT_OK
     assert main(args + ["--out", str(b)]) == EXIT_OK
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_count_mode_csv_bytes_are_pinned(tmp_path):
+    # Any change to a counter, a seed or the CSV format changes this digest.
+    out = tmp_path / "k_distinct.csv"
+    assert main(["bench", "--algo", "bcis,qs", "--dist", "k_distinct", "--k-param", "5",
+                 "--n", "64:256:2", "--trials", "3", "--seed", "99",
+                 "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "30f7d486f03249fd015a76979214ebb1942252f7ff7261e423d9eb48852ec354"
+    )
 
 
 def test_deterministic_dists_default_to_one_trial(tmp_path):
@@ -111,8 +123,10 @@ def test_usage_errors():
         ["--algo", "is", "--dist", "k_distinct", "--k-param", "50", "--n", "400,10",
          "--trials", "5"],
         ["--algo", "is,heapsort", "--dist", "uniform", "--n", "100"],
+        ["--algo", "is", "--dist", "uniform", "--n", "16,16", "--trials", "2"],
+        ["--algo", "is,qs,is", "--dist", "uniform", "--n", "16", "--trials", "2"],
     ],
-    ids=["invalid-later-size", "unknown-later-algo"],
+    ids=["invalid-later-size", "unknown-later-algo", "repeated-size", "repeated-algo"],
 )
 def test_bad_grid_is_a_usage_error_before_any_trial(tmp_path, monkeypatch, capsys, argv):
     calls = []
@@ -127,6 +141,21 @@ def test_bad_grid_is_a_usage_error_before_any_trial(tmp_path, monkeypatch, capsy
     assert calls == [] and not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_bench_verification_failure_writes_nothing(tmp_path, monkeypatch, capsys):
+    def sorted_but_lossy(seq):
+        seq.sort()
+        seq[0] = seq[1]  # still sorted, but the smallest item is lost
+        return SortStats()
+
+    monkeypatch.setitem(bench.ALGORITHMS, "bcis", sorted_but_lossy)
+    out = tmp_path / "x.csv"
+    assert main(["bench", "--algo", "bcis", "--dist", "uniform", "--n", "10",
+                 "--trials", "1", "--out", str(out)]) == EXIT_VERIFICATION
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: bcis on ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_fit_without_the_metric_is_a_usage_error(tmp_path, capsys):

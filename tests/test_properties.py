@@ -115,8 +115,12 @@ def _fenwick_inversions(data):
         DatasetSpec("uniform", 10**3, seed=1),
         DatasetSpec("uniform", 10**4, seed=2),
         DatasetSpec("k_distinct", 10**3, seed=3, k_param=50),
+        DatasetSpec("uniform", 10**4),
+        DatasetSpec("reverse", 10**4),
+        DatasetSpec("k_distinct", 10**4, k_param=50),
     ],
-    ids=["uniform-1e3", "uniform-1e4", "k_distinct-1e3"],
+    ids=["uniform-1e3", "uniform-1e4", "k_distinct-1e3", "uniform-1e4-seed0",
+         "reverse-1e4", "k_distinct-1e4"],
 )
 def test_insertion_sort_exact_oracle_at_gate_sizes(spec):
     # The oracle above, at the sizes of the gate's insertion-sort fidelity
@@ -124,9 +128,12 @@ def test_insertion_sort_exact_oracle_at_gate_sizes(spec):
     data = generate(spec)
     inversions = _fenwick_inversions(data)
     prefix_minima = sum(v < low for v, low in zip(data[1:], accumulate(data, min)))
-    stats = insertion_sort(list(data))
+    work = list(data)
+    stats = insertion_sort(work)
+    assert work == sorted(data)
     assert stats.comparisons == inversions + spec.n - 1 - prefix_minima
     assert stats.assignments == inversions + spec.n - 1
+    assert (stats.swaps, stats.sort_trips, stats.terminated_by_equal) == (0, spec.n - 1, False)
 
 
 @given(data=st.lists(st.integers(0, 3), min_size=1, max_size=200))
