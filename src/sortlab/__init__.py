@@ -5,7 +5,7 @@ generators and a benchmark CLI."""
 from .stats import SortStats
 from .bcis import PRESCAN_SPAN, bcis_sort
 from .baselines import insertion_sort, quicksort_mo3
-from .datagen import DatasetSpec, DatasetSpecError, derive_seed, generate, validate
+from .datagen import DatasetSpec, DatasetSpecError, derive_seed, generate
 from .bench import (
     ALGORITHMS,
     CSV_HEADER,
@@ -44,6 +44,5 @@ __all__ = [
     "read_csv",
     "run_suite",
     "run_trial",
-    "validate",
     "write_csv",
 ]

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .baselines import insertion_sort, quicksort_mo3
 from .bcis import bcis_sort
-from .datagen import DatasetSpec, DatasetSpecError, derive_seed, generate, validate
+from .datagen import DatasetSpec, derive_seed, generate
 
 ALGORITHMS = {
     "bcis": bcis_sort,
@@ -79,15 +79,12 @@ def _verify(original: List, result: Sequence, what: str) -> None:
     )
 
 
-def _check_trial(algo: str, spec: DatasetSpec, mode: str) -> None:
-    """Raise ``ValueError`` unless ``algo`` on ``spec`` can run in ``mode``."""
+def _check_trial(algo: str, mode: str) -> None:
+    """Raise ``ValueError`` unless ``algo`` is known and can run in ``mode``."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {tuple(ALGORITHMS)}")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    violations = validate(spec)
-    if violations:
-        raise DatasetSpecError(violations)
 
 
 def run_trial(
@@ -95,15 +92,14 @@ def run_trial(
 ) -> TrialRecord:
     """Run one (algorithm, dataset) measurement.
 
-    Raises ``ValueError`` for an unknown algorithm or mode or an invalid
-    spec.  Generates the dataset, sorts a clone, and verifies the clone
-    against the sorted input before returning a record; a verification
-    failure aborts with the offending spec and seed in the message.  The
-    record always carries the sort's counters; a ``time`` trial also sets
-    ``elapsed_ns``, timing the sort after one untimed warm-up pass on a
-    separate clone.
+    Raises ``ValueError`` for an unknown algorithm or mode.  Generates the
+    dataset, sorts a clone, and verifies the clone against the sorted
+    input before returning a record; a verification failure aborts with
+    the offending spec and seed in the message.  The record always carries
+    the sort's counters; a ``time`` trial also sets ``elapsed_ns``, timing
+    the sort after one untimed warm-up pass on a separate clone.
     """
-    _check_trial(algo, spec, mode)
+    _check_trial(algo, mode)
     sort = ALGORITHMS[algo]
     data = generate(spec)
 
@@ -136,19 +132,19 @@ def run_suite(
     """Run every (algo, spec, trials) grid entry.
 
     Every entry is checked before the first trial runs: an empty grid, an
-    unknown algorithm or mode, fewer than one trial, an invalid spec or a
-    repeated (algo, kind, n, k_param) cell, which would repeat trial ids,
-    is a ``ValueError``.  Per-trial dataset seeds are split
-    deterministically from (base_seed, algo, spec, trial), so a suite is
-    reproducible and trials are independent.  Output order follows grid
-    order, then trial order.
+    unknown algorithm or mode, fewer than one trial or a repeated (algo,
+    kind, n, k_param) cell, which would repeat trial ids, is a
+    ``ValueError``.  Per-trial dataset seeds are split deterministically
+    from (base_seed, algo, spec, trial), so a suite is reproducible and
+    trials are independent.  Output order follows grid order, then trial
+    order.
     """
     entries = list(grid)
     if not entries:
         raise ValueError("empty benchmark grid")
     cells = set()
     for algo, spec, trials in entries:
-        _check_trial(algo, spec, mode)
+        _check_trial(algo, mode)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         cell = (algo, spec.kind, spec.n, spec.k_param)
@@ -177,6 +173,13 @@ def metric_value(record: TrialRecord, metric: str) -> float:
     return float(value)
 
 
+def require_one_dataset(datasets: Iterable[Tuple[str, Optional[int]]]) -> None:
+    """Raise ``ValueError`` unless the (dist, k_param) pairs name one dataset."""
+    distinct = sorted(set(datasets), key=repr)
+    if len(distinct) > 1:
+        raise ValueError(f"records cover datasets {distinct}; reduce one at a time")
+
+
 def ratio_table(
     records: Iterable[TrialRecord],
     numerator_algo: str,
@@ -185,11 +188,10 @@ def ratio_table(
 ) -> List[SummaryRow]:
     """Per-size mean(numerator metric) / mean(denominator metric).
 
-    Records are matched on (dist, n, k_param); dispersion is the standard
-    deviation of the per-trial ratios of the trial ids both algorithms
-    ran.  A size present for only one of the two algorithms, a trial id
-    repeated within one algorithm's records, or a zero denominator is an
-    error.
+    Records are matched on n; dispersion is the standard deviation of the
+    per-trial ratios of the trial ids both algorithms ran.  Records of two
+    datasets, a size present for only one algorithm, a trial id repeated
+    within one algorithm's records, or a zero denominator is an error.
     """
     if metric not in METRICS:
         raise ValueError(f"unsupported metric {metric!r}")
@@ -203,8 +205,9 @@ def ratio_table(
             raise ValueError(f"dataset {key} has trial {rec.trial} twice for {rec.algo!r}")
         by_trial[rec.trial] = metric_value(rec, metric)
 
+    require_one_dataset((dist, k_param) for dist, _, k_param in groups)
     rows: List[SummaryRow] = []
-    for key in sorted(groups, key=lambda k: (k[0], k[1], k[2] or 0)):
+    for key in sorted(groups):  # one dataset, so the keys differ in n alone
         sides = groups[key]
         if numerator_algo not in sides or denominator_algo not in sides:
             raise ValueError(
@@ -286,8 +289,8 @@ def _parse_field(name: str, text: str):
 
 def read_csv(source: TextIO) -> List[TrialRecord]:
     """Parse a trial CSV written by :func:`write_csv`; raises ``ValueError``
-    on a foreign header, a short or long row, or a malformed field, naming
-    the line (and the column of a bad field)."""
+    on a foreign header, a short or long row, a malformed field or an
+    invalid :class:`DatasetSpec`, naming the line (and a bad field's column)."""
     names = CSV_HEADER.split(",")
     reader = csv.reader(source)
     header = next(reader, None)
@@ -305,5 +308,9 @@ def read_csv(source: TextIO) -> List[TrialRecord]:
                 values[name] = _parse_field(name, text)
             except ValueError as exc:
                 raise ValueError(f"line {reader.line_num}: {name}: {exc}") from None
+        try:
+            DatasetSpec(values["dist"], values["n"], values["seed"], values["k_param"])
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
         out.append(TrialRecord(**values))
     return out

@@ -30,6 +30,7 @@ from .bench import (
     metric_value,
     ratio_table,
     read_csv,
+    require_one_dataset,
     run_suite,
     write_csv,
 )
@@ -149,10 +150,12 @@ def _cmd_summary(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    by_n = {}
+    by_n, datasets = {}, set()
     for rec in _read_file(args.infile):
         if rec.algo == args.algo and rec.dist == args.dist:
+            datasets.add((rec.dist, rec.k_param))
             by_n.setdefault(rec.n, []).append(metric_value(rec, args.metric))
+    require_one_dataset(datasets)
     points = [(n, statistics.fmean(vals)) for n, vals in sorted(by_n.items())]
     slope = fit_scaling_exponent(points)
     print(f"{slope:.6f}")

@@ -1,10 +1,11 @@
 """Deterministic, seeded input generators for the benchmark harness.
 
-Every dataset is described declaratively by a :class:`DatasetSpec`; the
-same spec always generates the same sequence, across runs and platforms.
-The PRNG is Python's Mersenne Twister (``random.Random``), which is
-portable and stable; per-trial seeds are split from a base seed with
-BLAKE2b (see :func:`derive_seed`).
+Every dataset is described declaratively by a :class:`DatasetSpec`,
+which checks its invariants when built; the same spec always generates
+the same sequence, across runs and platforms.  The PRNG is Python's
+Mersenne Twister (``random.Random``), which is portable and stable;
+per-trial seeds are split from a base seed with BLAKE2b (see
+:func:`derive_seed`).
 """
 
 from __future__ import annotations
@@ -35,41 +36,38 @@ VALUE_RANGE = (0, 2**31 - 1)
 class DatasetSpecError(ValueError):
     """Raised when a dataset spec violates its invariants."""
 
-    def __init__(self, violations: List[str]):
-        super().__init__("; ".join(violations))
-        self.violations = violations
-
 
 @dataclass(frozen=True)
 class DatasetSpec:
+    """One named input; building or ``replace``-ing an invalid spec raises
+    :class:`DatasetSpecError`, its violations ``"; "``-joined."""
+
     kind: str
     n: int
     seed: int = 0
     k_param: Optional[int] = None
 
-
-def validate(spec: DatasetSpec) -> List[str]:
-    """Return the list of invariant violations (empty when valid)."""
-    out: List[str] = []
-    if spec.kind not in KINDS:
-        out.append(f"kind must be one of {KINDS}, got {spec.kind!r}")
-        return out
-    if spec.n < 0:
-        out.append(f"n must be nonnegative, got {spec.n}")
-    if spec.kind == "k_distinct":
-        if spec.k_param is None:
-            out.append("k_distinct requires k_param")
-        elif not 1 <= spec.k_param <= max(spec.n, 1):
-            out.append(
-                f"k_param must be in [1, n], got k_param={spec.k_param} n={spec.n}"
-            )
-    elif spec.k_param is not None:
-        out.append(f"k_param only applies to k_distinct, got kind={spec.kind!r}")
-    # From PRESCAN_SPAN up, the pre-scan displaces the constructions'
-    # comparators, so they no longer force their best or worst case.
-    if spec.kind in ("best_small", "worst_small") and spec.n >= PRESCAN_SPAN:
-        out.append(f"{spec.kind} requires n < {PRESCAN_SPAN}, got n={spec.n}")
-    return out
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise DatasetSpecError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        out: List[str] = []
+        if self.n < 0:
+            out.append(f"n must be nonnegative, got {self.n}")
+        if self.kind == "k_distinct":
+            if self.k_param is None:
+                out.append("k_distinct requires k_param")
+            elif not 1 <= self.k_param <= max(self.n, 1):
+                out.append(
+                    f"k_param must be in [1, n], got k_param={self.k_param} n={self.n}"
+                )
+        elif self.k_param is not None:
+            out.append(f"k_param only applies to k_distinct, got kind={self.kind!r}")
+        # From PRESCAN_SPAN up, the pre-scan displaces the constructions'
+        # comparators, so they no longer force their best or worst case.
+        if self.kind in ("best_small", "worst_small") and self.n >= PRESCAN_SPAN:
+            out.append(f"{self.kind} requires n < {PRESCAN_SPAN}, got n={self.n}")
+        if out:
+            raise DatasetSpecError("; ".join(out))
 
 
 def derive_seed(base: int, *parts: object) -> int:
@@ -80,14 +78,7 @@ def derive_seed(base: int, *parts: object) -> int:
 
 
 def generate(spec: DatasetSpec) -> List[int]:
-    """Materialize the sequence described by ``spec``.
-
-    Raises :class:`DatasetSpecError` when the spec is invalid.
-    """
-    violations = validate(spec)
-    if violations:
-        raise DatasetSpecError(violations)
-
+    """Materialize the sequence described by ``spec``."""
     n = spec.n
     rng = random.Random(spec.seed)
     lo, hi = VALUE_RANGE
@@ -102,13 +93,10 @@ def generate(spec: DatasetSpec) -> List[int]:
         value = rng.randrange(lo, hi + 1)
         return [value] * n
     if spec.kind == "k_distinct":
-        pool = rng.sample(range(lo, hi + 1), min(spec.k_param, n) or 1)
+        pool = rng.sample(range(lo, hi + 1), spec.k_param)
         return [rng.choice(pool) for _ in range(n)]
-    if spec.kind == "best_small":
-        return _small_construction(n, rng, ascending=True)
-    if spec.kind == "worst_small":
-        return _small_construction(n, rng, ascending=False)
-    raise AssertionError(spec.kind)
+    # best_small or worst_small
+    return _small_construction(n, rng, ascending=spec.kind == "best_small")
 
 
 def _small_construction(n: int, rng: random.Random, ascending: bool) -> List[int]:

@@ -1,6 +1,7 @@
 """Unit tests for the benchmark harness."""
 
 import io
+import re
 from dataclasses import replace
 
 import pytest
@@ -99,11 +100,10 @@ class TestRunSuite:
         [
             (("heapsort", DatasetSpec("uniform", 10), 1), "count"),
             (("bcis", DatasetSpec("uniform", 10), 0), "count"),
-            (("bcis", DatasetSpec("k_distinct", 10, k_param=50), 1), "count"),
             (("bcis", DatasetSpec("uniform", 10), 1), "both"),
             (("bcis", DatasetSpec("uniform", 50, seed=3), 1), "count"),
         ],
-        ids=["unknown-algo", "no-trials", "invalid-spec", "unknown-mode", "repeated-cell"],
+        ids=["unknown-algo", "no-trials", "unknown-mode", "repeated-cell"],
     )
     def test_bad_grid_runs_no_trial(self, monkeypatch, bad, mode):
         calls = []
@@ -161,6 +161,25 @@ class TestRatioTable:
         records = [_record(algo="bcis"), _record(algo="bcis"), _record(algo="is")]
         with pytest.raises(ValueError, match="trial 0 twice"):
             ratio_table(records, "bcis", "is", "comparisons")
+
+    @pytest.mark.parametrize(
+        "datasets, named",
+        [
+            ((("uniform", None), ("reverse", None)), "('reverse', None), ('uniform', None)"),
+            ((("k_distinct", 2), ("k_distinct", 20)), "('k_distinct', 2), ('k_distinct', 20)"),
+        ],
+        ids=["two-dists", "two-k-params"],
+    )
+    def test_mixed_datasets(self, datasets, named):
+        records = [
+            _record(algo=a, dist=d, k_param=k) for a in ("bcis", "is") for d, k in datasets
+        ]
+        with pytest.raises(ValueError, match=re.escape(f"records cover datasets [{named}]")):
+            ratio_table(records, "bcis", "is", "comparisons")
+        # Records of an algorithm outside the ratio are not selected.
+        other = [_record(algo="qs", dist="sorted")]
+        one_dataset = [r for r in records if (r.dist, r.k_param) == datasets[0]]
+        assert len(ratio_table(one_dataset + other, "bcis", "is", "comparisons")) == 1
 
     def test_end_to_end_counts(self):
         grid = [
@@ -267,4 +286,25 @@ class TestCsv:
         fields[CSV_HEADER.split(",").index(column)] = text
         lines[2] = ",".join(fields)  # the second row, on line 3
         with pytest.raises(ValueError, match=f"^line 3: {column}: {message}"):
+            read_csv(io.StringIO("\n".join(lines)))
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            ({"dist": "normal", "n": "-64"}, "kind must be one of"),
+            ({"n": "-64"}, "n must be nonnegative, got -64$"),
+            ({"dist": "k_distinct"}, "k_distinct requires k_param$"),
+            ({"k_param": "5"}, "k_param only applies to k_distinct, got kind='uniform'$"),
+        ],
+        ids=["unknown-dist", "negative-n", "k-distinct-without-k", "k-param-on-uniform"],
+    )
+    def test_invalid_dataset_names_its_line(self, edits, message):
+        buf = io.StringIO()
+        write_csv([_record(trial=t) for t in range(3)], buf)
+        lines = buf.getvalue().split("\n")
+        fields = lines[2].split(",")
+        for column, text in edits.items():
+            fields[CSV_HEADER.split(",").index(column)] = text
+        lines[2] = ",".join(fields)  # the second row, on line 3
+        with pytest.raises(ValueError, match=f"^line 3: {message}"):
             read_csv(io.StringIO("\n".join(lines)))

@@ -184,9 +184,10 @@ def test_io_errors(tmp_path):
         CSV_HEADER.encode() + b"\nbcis,\xff\xfe,10,,1,0,5,5,0,1,false,\n",  # not UTF-8
         (CSV_HEADER + "\nbcis,uniform,10,,1,0,5,5,0,1,True,\n").encode(),  # not true/false
         (CSV_HEADER + "\nbcis,uniform,10,,1,0,,5,0,1,false,\n").encode(),  # no comparisons
+        (CSV_HEADER + "\nbcis,normal,-64,,1,0,5,5,0,1,false,\n").encode(),  # invalid dataset
     ],
     ids=["foreign-header", "truncated-row", "non-integer", "non-utf8", "non-boolean",
-         "blank-counter"],
+         "blank-counter", "invalid-dataset"],
 )
 @pytest.mark.parametrize("command", ["summary", "fit"])
 def test_malformed_csv_is_an_io_error(tmp_path, capsys, content, command):
@@ -215,6 +216,46 @@ def test_bad_field_error_names_its_line(tmp_path, capsys):
                  "--metric", "comparisons"]) == EXIT_IO
     err = capsys.readouterr().err
     assert err == f"io error: cannot read {runs}: line 3: comparisons: must not be blank\n"
+
+
+def _joined_bench_csv(tmp_path, *argvs):
+    """Run ``bench`` once per argv and join the CSVs under one header."""
+    lines = []
+    for i, argv in enumerate(argvs):
+        part = tmp_path / f"part{i}.csv"
+        assert main(["bench", *argv, "--out", str(part)]) == EXIT_OK
+        lines += part.read_text(encoding="utf-8").splitlines()[(i > 0):]
+    joined = tmp_path / "joined.csv"
+    joined.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return joined
+
+
+def test_summary_of_two_datasets_is_a_usage_error(tmp_path, capsys):
+    runs = _joined_bench_csv(
+        tmp_path,
+        ["--algo", "bcis,qs", "--dist", "uniform", "--n", "64", "--trials", "3"],
+        ["--algo", "bcis,qs", "--dist", "reverse", "--n", "64"],
+    )
+    assert main(["summary", "--in", str(runs), "--ratio", "bcis:qs",
+                 "--metric", "comparisons"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("usage error: records cover datasets "
+                   "[('reverse', None), ('uniform', None)]; reduce one at a time\n")
+
+
+def test_fit_over_two_k_params_is_a_usage_error(tmp_path, capsys):
+    runs = _joined_bench_csv(
+        tmp_path,
+        *[["--algo", "bcis", "--dist", "k_distinct", "--k-param", k, "--n", "32:128:2",
+           "--trials", "2"] for k in ("2", "20")],
+    )
+    assert main(["fit", "--in", str(runs), "--algo", "bcis", "--dist", "k_distinct",
+                 "--metric", "comparisons"]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("usage error: records cover datasets "
+                   "[('k_distinct', 2), ('k_distinct', 20)]; reduce one at a time\n")
 
 
 def test_closed_stdout_is_an_io_error(tmp_path):

@@ -1,36 +1,65 @@
 """Unit tests for the dataset generators."""
 
+import re
+from dataclasses import replace
+
 import pytest
 
-from sortlab import DatasetSpec, DatasetSpecError, bcis_sort, generate, validate
-from sortlab.datagen import VALUE_RANGE, derive_seed, sweep_sizes
+from sortlab import DatasetSpec, DatasetSpecError, bcis_sort, generate
+from sortlab.datagen import KINDS, VALUE_RANGE, derive_seed, sweep_sizes
+
+
+def _raises(message):
+    """Expect a DatasetSpecError whose message is exactly ``message``."""
+    return pytest.raises(DatasetSpecError, match=f"^{re.escape(message)}$")
 
 
 class TestValidate:
     def test_ok(self):
-        assert validate(DatasetSpec("uniform", 10, seed=1)) == []
+        spec = DatasetSpec("uniform", 10, seed=1)
+        assert (spec.kind, spec.n, spec.seed, spec.k_param) == ("uniform", 10, 1, None)
+        assert DatasetSpec("k_distinct", 0, k_param=1).n == 0
+        assert replace(spec, n=0).n == 0
 
     def test_small_construction_size_limit(self):
-        violations = validate(DatasetSpec("best_small", 200))
-        assert len(violations) == 1
-        assert "n < 100" in violations[0]
+        with _raises("best_small requires n < 100, got n=200"):
+            DatasetSpec("best_small", 200)
+        with _raises("worst_small requires n < 100, got n=100"):
+            DatasetSpec("worst_small", 100)
+        assert DatasetSpec("worst_small", 99).n == 99
 
     def test_k_param_bounds(self):
-        assert validate(DatasetSpec("k_distinct", 10, k_param=0))
-        assert validate(DatasetSpec("k_distinct", 10, k_param=11))
-        assert validate(DatasetSpec("k_distinct", 10)) != []
-        assert validate(DatasetSpec("k_distinct", 10, k_param=10)) == []
+        with _raises("k_param must be in [1, n], got k_param=0 n=10"):
+            DatasetSpec("k_distinct", 10, k_param=0)
+        with _raises("k_param must be in [1, n], got k_param=11 n=10"):
+            DatasetSpec("k_distinct", 10, k_param=11)
+        with _raises("k_distinct requires k_param"):
+            DatasetSpec("k_distinct", 10)
+        assert DatasetSpec("k_distinct", 10, k_param=10).k_param == 10
 
     def test_unknown_kind(self):
-        assert validate(DatasetSpec("normal", 10))
+        with _raises(f"kind must be one of {KINDS}, got 'normal'"):
+            DatasetSpec("normal", -10, k_param=5)  # the kind alone is reported
+
+    def test_negative_n(self):
+        with _raises("n must be nonnegative, got -1"):
+            DatasetSpec("uniform", -1)
 
     def test_k_param_rejected_elsewhere(self):
-        assert validate(DatasetSpec("uniform", 10, k_param=5))
+        with _raises("k_param only applies to k_distinct, got kind='uniform'"):
+            DatasetSpec("uniform", 10, k_param=5)
 
-    def test_generate_raises_with_violations(self):
-        with pytest.raises(DatasetSpecError) as err:
-            generate(DatasetSpec("worst_small", 100))
-        assert err.value.violations
+    def test_violations_are_joined(self):
+        with _raises(
+            "n must be nonnegative, got -1; "
+            "k_param only applies to k_distinct, got kind='worst_small'"
+        ):
+            DatasetSpec("worst_small", -1, k_param=3)
+
+    def test_replace_checks_too(self):
+        spec = DatasetSpec("k_distinct", 50, seed=3, k_param=50)
+        with _raises("k_param must be in [1, n], got k_param=50 n=10"):
+            replace(spec, n=10)
 
 
 class TestGenerate:
