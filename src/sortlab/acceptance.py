@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import functools
 import io
+import random
 import statistics
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from . import models
 from .bench import ALGORITHMS, VerificationError, _verify, fit_scaling_exponent, run_suite, run_trial, write_csv
@@ -42,7 +43,9 @@ class CheckResult:
         return f"{tag}  {self.number:2d}. {self.name}: {self.detail}"
 
 
-Cache = Dict[str, object]
+#: Mean (comparisons, assignments) per ``(algo, kind, n, label)``, shared by
+#: the criteria of one gate run.
+Cache = Dict[Tuple[str, str, int, str], Tuple[float, float]]
 #: What a criterion's body returns: whether it passed, and the detail text.
 Verdict = Tuple[bool, str]
 
@@ -73,41 +76,39 @@ def criterion(number: int, name: str, report_only: bool = False):
     return register
 
 
-def _mean_counts(algo: str, kind: str, n: int, label: str):
-    comps = []
-    assigns = []
-    for t in range(AVG_TRIALS):
-        seed = derive_seed(BASE_SEED, label, algo, kind, n, t)
-        rec = run_trial(algo, DatasetSpec(kind, n, seed=seed))
-        comps.append(rec.comparisons)
-        assigns.append(rec.assignments)
-    return statistics.fmean(comps), statistics.fmean(assigns)
+def _mean_counts(cache: Cache, algo: str, kind: str, n: int, label: str) -> Tuple[float, float]:
+    """Mean (comparisons, assignments) over ``AVG_TRIALS`` seeded trials, run once per cache."""
+    key = (algo, kind, n, label)
+    if key not in cache:
+        seeds = [derive_seed(BASE_SEED, label, algo, kind, n, t) for t in range(AVG_TRIALS)]
+        recs = [run_trial(algo, DatasetSpec(kind, n, seed=seed)) for seed in seeds]
+        cache[key] = (statistics.fmean(r.comparisons for r in recs),
+                      statistics.fmean(r.assignments for r in recs))
+    return cache[key]
+
+
+def _correctness_inputs() -> Iterator[Tuple[str, Sequence[int]]]:
+    """(label, input): every tuple over {0, 1, 2} up to length 10, then 1000 random lists."""
+    for length in range(11):
+        for tup in product((0, 1, 2), repeat=length):
+            yield repr(tup), tup
+    rng = random.Random(derive_seed(BASE_SEED, "oracle"))
+    for _ in range(1000):
+        n = rng.randrange(0, 2001)
+        yield f"random n={n}", [rng.randrange(0, 2**31) for _ in range(n)]
 
 
 @criterion(1, "correctness")
 def check_correctness(cache: Cache) -> Verdict:
     """Exhaustive small inputs plus randomized oracle equivalence; a wrong
     output raises :class:`VerificationError` naming the sort and input."""
-    import random
-
     cases = 0
-    for length in range(11):
-        for tup in product((0, 1, 2), repeat=length):
-            expected = list(tup)  # the first _verify sorts it in place
-            for algo, sort in ALGORITHMS.items():
-                work = list(tup)
-                sort(work)
-                _verify(expected, work, f"{algo} on {tup!r}")
-            cases += 1
-    rng = random.Random(derive_seed(BASE_SEED, "oracle"))
-    for _ in range(1000):
-        n = rng.randrange(0, 2001)
-        data = [rng.randrange(0, 2**31) for _ in range(n)]
-        expected = list(data)
+    for label, data in _correctness_inputs():
+        expected = list(data)  # the first _verify sorts it in place
         for algo, sort in ALGORITHMS.items():
             work = list(data)
             sort(work)
-            _verify(expected, work, f"{algo} on random n={n}")
+            _verify(expected, work, f"{algo} on {label}")
         cases += 1
     return True, f"{cases} cases, zero failures"
 
@@ -179,7 +180,7 @@ def check_average_scaling(cache: Cache) -> Verdict:
     means = []
     for e in range(10, 18):
         n = 2**e
-        mc, ma = _mean_counts("bcis", "uniform", n, "scaling")
+        mc, ma = _mean_counts(cache, "bcis", "uniform", n, "scaling")
         if not ma < mc:
             return False, f"n={n}: assigns {ma:.0f} >= comps {mc:.0f}"
         means.append((n, mc))
@@ -198,19 +199,11 @@ def check_average_scaling(cache: Cache) -> Verdict:
     )
 
 
-def _is_uniform_means(cache: Cache, n: int) -> float:
-    key = f"is_uniform_{n}"
-    if key not in cache:
-        mc, _ = _mean_counts("is", "uniform", n, "isbase")
-        cache[key] = mc
-    return cache[key]  # type: ignore[return-value]
-
-
 @criterion(8, "insertion-sort fidelity")
 def check_is_fidelity(cache: Cache) -> Verdict:
     ratios = {}
     for n in (10**3, 10**4):
-        ratios[n] = _is_uniform_means(cache, n) / (n * n / 4)
+        ratios[n] = _mean_counts(cache, "is", "uniform", n, "isbase")[0] / (n * n / 4)
         if not 0.9 <= ratios[n] <= 1.1:
             return False, f"n={n}: ratio={ratios[n]:.4f}"
     detail = ", ".join(f"n={n}: {r:.4f}" for n, r in ratios.items())
@@ -220,8 +213,8 @@ def check_is_fidelity(cache: Cache) -> Verdict:
 @criterion(9, "bcis/is comparison ratio")
 def check_count_ratio(cache: Cache) -> Verdict:
     n = 10**4
-    bcis_mean, _ = _mean_counts("bcis", "uniform", n, "cmpratio")
-    ratio = bcis_mean / _is_uniform_means(cache, n)
+    bcis_mean, _ = _mean_counts(cache, "bcis", "uniform", n, "cmpratio")
+    ratio = bcis_mean / _mean_counts(cache, "is", "uniform", n, "isbase")[0]
     ok = 0.02 <= ratio <= 0.10
     return ok, f"n=10^4: {ratio:.4f} {'in' if ok else 'outside'} [0.02, 0.10]"
 
@@ -283,37 +276,28 @@ def check_cost_models(cache: Cache) -> Verdict:
     return True, f"{len(MODEL_POINTS)} substitutions exact; k-sweep minimum near sqrt(n)"
 
 
-def _time_ratio_rows(grid, trials: int) -> List[str]:
-    rows = []
-    for spec in grid:
+@criterion(11, "wall-time ratio tables", report_only=True)
+def check_timing_report(cache: Cache) -> Verdict:
+    """Report-only wall-time ratios; never fails."""
+    cells = [(DatasetSpec("uniform", n), 5) for n in (64, 128, 256, 512, 1024, 1400)]
+    cells += [
+        (DatasetSpec("k_distinct", n, k_param=50), trials)
+        for n, trials in ((10**4, 5), (10**5, 5), (10**6, 3))
+    ]
+    lines = ["bcis/qs wall-time ratios (machine-dependent, informational):"]
+    for spec, trials in cells:
         records = run_suite(
             [("bcis", spec, trials), ("qs", spec, trials)], mode="time", base_seed=BASE_SEED
         )
         med = {
-            algo: statistics.median(
-                r.elapsed_ns for r in records if r.algo == algo
-            )
+            algo: statistics.median(r.elapsed_ns for r in records if r.algo == algo)
             for algo in ("bcis", "qs")
         }
         label = spec.kind if spec.k_param is None else f"{spec.kind}(k={spec.k_param})"
-        rows.append(
+        lines.append(
             f"    {label:<16} n={spec.n:<8} bcis/qs time = {med['bcis'] / med['qs']:.3f}"
             f"  (medians over {trials} trials, ns: {med['bcis']:.0f} / {med['qs']:.0f})"
         )
-    return rows
-
-
-@criterion(11, "wall-time ratio tables", report_only=True)
-def check_timing_report(cache: Cache) -> Verdict:
-    """Report-only wall-time ratios; never fails."""
-    small = [DatasetSpec("uniform", n) for n in (64, 128, 256, 512, 1024, 1400)]
-    dup = [
-        DatasetSpec("k_distinct", n, k_param=50) for n in (10**4, 10**5, 10**6)
-    ]
-    lines = ["bcis/qs wall-time ratios (machine-dependent, informational):"]
-    lines += _time_ratio_rows(small, trials=5)
-    lines += _time_ratio_rows(dup[:2], trials=5)
-    lines += _time_ratio_rows(dup[2:], trials=3)
     return True, "\n".join(lines)
 
 

@@ -284,7 +284,11 @@ def _parse_field(name: str, text: str):
         return text == "true"
     if name in ("algo", "dist"):
         return text
-    return int(text)
+    value = int(text)
+    # DatasetSpec checks n and k_param; a seed may be any integer.
+    if value < 0 and name not in ("n", "k_param", "seed"):
+        raise ValueError(f"must be nonnegative, got {value}")
+    return value
 
 
 def read_csv(source: TextIO) -> List[TrialRecord]:

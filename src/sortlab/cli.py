@@ -45,17 +45,13 @@ EXIT_IO = 3
 DETERMINISTIC_DISTS = ("sorted", "reverse", "equal")
 
 
-class UsageError(ValueError):
-    pass
-
-
 class _IOFailure(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102 - argparse hook
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> _Parser:
@@ -81,18 +77,21 @@ def build_parser() -> _Parser:
     bench.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     bench.add_argument("--mode", choices=MODES, default="count")
     bench.add_argument("--out", required=True, help="trial CSV destination")
+    bench.set_defaults(handler=_cmd_bench)
 
     summary = sub.add_parser("summary", help="ratio-of-means table from a trial CSV")
     summary.add_argument("--in", dest="infile", required=True)
     summary.add_argument("--ratio", required=True, help="NUMERATOR:DENOMINATOR algos")
     summary.add_argument("--metric", required=True, choices=METRICS)
     summary.add_argument("--out", help="summary CSV destination (default stdout)")
+    summary.set_defaults(handler=_cmd_summary)
 
     fit = sub.add_parser("fit", help="log-log scaling exponent from a trial CSV")
     fit.add_argument("--in", dest="infile", required=True)
     fit.add_argument("--algo", required=True, choices=sorted(ALGORITHMS))
     fit.add_argument("--dist", required=True, choices=KINDS)
     fit.add_argument("--metric", required=True, choices=METRICS)
+    fit.set_defaults(handler=_cmd_fit)
 
     verify = sub.add_parser("verify", help="run the acceptance suite")
     verify.add_argument(
@@ -100,6 +99,7 @@ def build_parser() -> _Parser:
         action="store_true",
         help="skip the informational wall-time tables",
     )
+    verify.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -137,10 +137,10 @@ def _read_file(path: str):
 
 def _cmd_summary(args) -> int:
     if ":" not in args.ratio:
-        raise UsageError("--ratio must look like NUMERATOR:DENOMINATOR, e.g. bcis:is")
+        raise ValueError("--ratio must look like NUMERATOR:DENOMINATOR, e.g. bcis:is")
     num, den = args.ratio.split(":", 1)
     if num not in ALGORITHMS or den not in ALGORITHMS:
-        raise UsageError(f"ratio algos must be among {tuple(ALGORITHMS)}")
+        raise ValueError(f"ratio algos must be among {tuple(ALGORITHMS)}")
     rows = ratio_table(_read_file(args.infile), num, den, args.metric)
     if args.out:
         _write_file(args.out, rows)
@@ -171,13 +171,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = {
-            "bench": _cmd_bench,
-            "summary": _cmd_summary,
-            "fit": _cmd_fit,
-            "verify": _cmd_verify,
-        }[args.command]
-        return handler(args)
+        return args.handler(args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,6 +5,8 @@ The full gate is deliberately heavy (instrumented quadratic baselines and
 the per-criterion PASS/FAIL lines as they complete.
 """
 
+import re
+
 import pytest
 
 from sortlab import SortStats, acceptance, bench
@@ -67,7 +69,15 @@ def test_criterion_11_timing_tables_reported(results):
     # report-only: machine-dependent wall time is informational
     result = results[11]
     assert result.report_only
-    assert result.detail
+    header, *rows = result.detail.split("\n")
+    assert header == "bcis/qs wall-time ratios (machine-dependent, informational):"
+    cells = [("uniform", n, 5) for n in (64, 128, 256, 512, 1024, 1400)]
+    cells += [("k_distinct(k=50)", n, t) for n, t in ((10**4, 5), (10**5, 5), (10**6, 3))]
+    assert len(rows) == len(cells)
+    for row, (label, n, trials) in zip(rows, cells):
+        pattern = (rf"    {re.escape(label)} +n={n} +bcis/qs time = \d+\.\d{{3}}"
+                   rf"  \(medians over {trials} trials, ns: \d+ / \d+\)")
+        assert re.fullmatch(pattern, row), row
 
 
 def test_criterion_12_determinism(results):

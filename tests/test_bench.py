@@ -276,6 +276,8 @@ class TestCsv:
             ("comparisons", "", "must not be blank"),
             ("n", "ten", "invalid literal for int"),
             ("terminated_by_equal", "True", "must be true or false, got 'True'"),
+            ("comparisons", "-591", "must be nonnegative, got -591$"),
+            ("trial", "-1", "must be nonnegative, got -1$"),
         ],
     )
     def test_bad_field_names_its_line_and_column(self, column, text, message):
