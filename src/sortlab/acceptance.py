@@ -124,28 +124,27 @@ def check_all_equal_linear(cache: Cache) -> Verdict:
     return True, f"comps <= 2n (max comps/n={worst:.3f}), 1 trip"
 
 
+def _within(ratios: Dict[int, float], lo: float, hi: float, form: str) -> Verdict:
+    """(every ratio in [lo, hi], "n=…: <form>, … in|outside [lo, hi]")."""
+    ok = all(lo <= r <= hi for r in ratios.values())
+    detail = ", ".join(f"n={n}: {form.format(r)}" for n, r in ratios.items())
+    return ok, f"{detail} {'in' if ok else 'outside'} [{lo}, {hi}]"
+
+
 @criterion(3, "sorted-array bound")
 def check_sorted_bound(cache: Cache) -> Verdict:
-    ratios = {}
-    for n in (10**4, 10**5):
-        rec = run_trial("bcis", DatasetSpec("sorted", n))
-        ratios[n] = rec.comparisons / n
-        if not 2 <= ratios[n] <= 6:
-            return False, f"n={n}: comps/n={ratios[n]:.3f}"
-    detail = ", ".join(f"n={n}: comps/n={r:.3f}" for n, r in ratios.items())
-    return True, detail + " in [2, 6]"
+    ratios = {n: run_trial("bcis", DatasetSpec("sorted", n)).comparisons / n
+              for n in (10**4, 10**5)}
+    return _within(ratios, 2, 6, "comps/n={:.3f}")
 
 
 @criterion(4, "reverse-sorted bound")
 def check_reverse_bound(cache: Cache) -> Verdict:
-    ratios = {}
-    for n in (10**3, 10**4):
-        rec = run_trial("bcis", DatasetSpec("reverse", n))
-        ratios[n] = rec.comparisons / models.bcis_worst_reverse(n)
-        if not 0.8 <= ratios[n] <= 1.3:
-            return False, f"n={n}: ratio={ratios[n]:.3f}"
-    detail = ", ".join(f"n={n}: {r:.4f}" for n, r in ratios.items())
-    return True, detail + " in [0.8, 1.3]"
+    ratios = {
+        n: run_trial("bcis", DatasetSpec("reverse", n)).comparisons / models.bcis_worst_reverse(n)
+        for n in (10**3, 10**4)
+    }
+    return _within(ratios, 0.8, 1.3, "{:.4f}")
 
 
 @criterion(5, "small-n worst construction")
@@ -201,13 +200,9 @@ def check_average_scaling(cache: Cache) -> Verdict:
 
 @criterion(8, "insertion-sort fidelity")
 def check_is_fidelity(cache: Cache) -> Verdict:
-    ratios = {}
-    for n in (10**3, 10**4):
-        ratios[n] = _mean_counts(cache, "is", "uniform", n, "isbase")[0] / (n * n / 4)
-        if not 0.9 <= ratios[n] <= 1.1:
-            return False, f"n={n}: ratio={ratios[n]:.4f}"
-    detail = ", ".join(f"n={n}: {r:.4f}" for n, r in ratios.items())
-    return True, detail + " in [0.9, 1.1]"
+    ratios = {n: _mean_counts(cache, "is", "uniform", n, "isbase")[0] / (n * n / 4)
+              for n in (10**3, 10**4)}
+    return _within(ratios, 0.9, 1.1, "{:.4f}")
 
 
 @criterion(9, "bcis/is comparison ratio")

@@ -161,23 +161,42 @@ def run_suite(
     return records
 
 
-def metric_value(record: TrialRecord, metric: str) -> float:
-    """``record``'s ``metric`` as a float; ``ValueError`` when the record
-    lacks it, as a count trial lacks ``elapsed_ns``."""
-    value = getattr(record, metric)
-    if value is None:
-        raise ValueError(
-            f"record {record.algo}/{record.dist}/n={record.n} trial "
-            f"{record.trial} has no {metric} (wrong mode?)"
-        )
-    return float(value)
+#: Trials of one dataset by size: ``{(dist, n, k_param): {algo: {trial: value}}}``.
+TrialsBySize = Dict[Tuple[str, int, Optional[int]], Dict[str, Dict[int, float]]]
 
 
-def require_one_dataset(datasets: Iterable[Tuple[str, Optional[int]]]) -> None:
-    """Raise ``ValueError`` unless the (dist, k_param) pairs name one dataset."""
-    distinct = sorted(set(datasets), key=repr)
-    if len(distinct) > 1:
-        raise ValueError(f"records cover datasets {distinct}; reduce one at a time")
+def trials_by_size(
+    records: Iterable[TrialRecord], algos: Sequence[str], metric: str
+) -> TrialsBySize:
+    """Each ``metric`` value of the records of ``algos``, grouped by size,
+    then algorithm, then trial id.
+
+    An unsupported metric, a record without the metric (as a count trial
+    lacks ``elapsed_ns``), a trial id repeated within one algorithm's
+    records of a size, or records of more than one (dist, k_param) dataset
+    is a ``ValueError``.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unsupported metric {metric!r}")
+    groups: TrialsBySize = {}
+    for rec in records:
+        if rec.algo not in algos:
+            continue
+        key = (rec.dist, rec.n, rec.k_param)
+        by_trial = groups.setdefault(key, {}).setdefault(rec.algo, {})
+        if rec.trial in by_trial:
+            raise ValueError(f"dataset {key} has trial {rec.trial} twice for {rec.algo!r}")
+        value = getattr(rec, metric)
+        if value is None:
+            raise ValueError(
+                f"record {rec.algo}/{rec.dist}/n={rec.n} trial "
+                f"{rec.trial} has no {metric} (wrong mode?)"
+            )
+        by_trial[rec.trial] = float(value)
+    datasets = sorted({(dist, k_param) for dist, _, k_param in groups}, key=repr)
+    if len(datasets) > 1:
+        raise ValueError(f"records cover datasets {datasets}; reduce one at a time")
+    return groups
 
 
 def ratio_table(
@@ -188,24 +207,12 @@ def ratio_table(
 ) -> List[SummaryRow]:
     """Per-size mean(numerator metric) / mean(denominator metric).
 
-    Records are matched on n; dispersion is the standard deviation of the
-    per-trial ratios of the trial ids both algorithms ran.  Records of two
-    datasets, a size present for only one algorithm, a trial id repeated
-    within one algorithm's records, or a zero denominator is an error.
+    Records are grouped by :func:`trials_by_size` and so carry its errors;
+    dispersion is the standard deviation of the per-trial ratios of the
+    trial ids both algorithms ran.  A size present for only one algorithm,
+    a zero denominator or no selected record at all is also an error.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unsupported metric {metric!r}")
-    groups: Dict[Tuple[str, int, Optional[int]], Dict[str, Dict[int, float]]] = {}
-    for rec in records:
-        if rec.algo not in (numerator_algo, denominator_algo):
-            continue
-        key = (rec.dist, rec.n, rec.k_param)
-        by_trial = groups.setdefault(key, {}).setdefault(rec.algo, {})
-        if rec.trial in by_trial:
-            raise ValueError(f"dataset {key} has trial {rec.trial} twice for {rec.algo!r}")
-        by_trial[rec.trial] = metric_value(rec, metric)
-
-    require_one_dataset((dist, k_param) for dist, _, k_param in groups)
+    groups = trials_by_size(records, (numerator_algo, denominator_algo), metric)
     rows: List[SummaryRow] = []
     for key in sorted(groups):  # one dataset, so the keys differ in n alone
         sides = groups[key]

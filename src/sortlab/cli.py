@@ -27,11 +27,10 @@ from .bench import (
     MODES,
     VerificationError,
     fit_scaling_exponent,
-    metric_value,
     ratio_table,
     read_csv,
-    require_one_dataset,
     run_suite,
+    trials_by_size,
     write_csv,
 )
 from .datagen import KINDS, DatasetSpec, sweep_sizes
@@ -150,13 +149,10 @@ def _cmd_summary(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    by_n, datasets = {}, set()
-    for rec in _read_file(args.infile):
-        if rec.algo == args.algo and rec.dist == args.dist:
-            datasets.add((rec.dist, rec.k_param))
-            by_n.setdefault(rec.n, []).append(metric_value(rec, args.metric))
-    require_one_dataset(datasets)
-    points = [(n, statistics.fmean(vals)) for n, vals in sorted(by_n.items())]
+    records = (rec for rec in _read_file(args.infile) if rec.dist == args.dist)
+    groups = trials_by_size(records, (args.algo,), args.metric)
+    points = [(n, statistics.fmean(sides[args.algo].values()))
+              for (_, n, _), sides in sorted(groups.items())]
     slope = fit_scaling_exponent(points)
     print(f"{slope:.6f}")
     return EXIT_OK

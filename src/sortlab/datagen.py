@@ -114,7 +114,7 @@ def _small_construction(n: int, rng: random.Random, ascending: bool) -> List[int
     values = list(range(base, base + n))
     if n < 2:
         return values
-    middle = values[: n - 2] if ascending else values[n - 3 :: -1]
+    middle = values[: n - 2] if ascending else values[: n - 2][::-1]
     arr = [values[n - 2]] + middle + [values[n - 1]]
     mid = (n - 1) // 2  # the sorter's middle of the full window
     arr[mid], arr[n - 1] = arr[n - 1], arr[mid]

@@ -259,6 +259,19 @@ def test_fit_over_two_k_params_is_a_usage_error(tmp_path, capsys):
                    "[('k_distinct', 2), ('k_distinct', 20)]; reduce one at a time\n")
 
 
+def test_summary_and_fit_reject_a_repeated_trial_alike(tmp_path, capsys):
+    runs = _joined_bench_csv(
+        tmp_path,
+        *[["--algo", "bcis,qs", "--dist", "uniform", "--n", "64,128,256", "--trials", "2",
+           "--seed", seed] for seed in ("0", "1")],
+    )
+    for argv in (["summary", "--ratio", "bcis:qs"], ["fit", "--algo", "bcis", "--dist", "uniform"]):
+        assert main([*argv, "--in", str(runs), "--metric", "comparisons"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "usage error: dataset ('uniform', 64, None) has trial 0 twice for 'bcis'\n"
+
+
 def test_closed_stdout_is_an_io_error(tmp_path):
     # Enough summary rows to overflow the pipe, so the writer is still
     # writing when the reader goes away.

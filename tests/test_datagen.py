@@ -96,6 +96,16 @@ class TestGenerate:
         assert len(set(tiny)) <= 3
 
 
+def test_generates_n_items():
+    for kind in KINDS:
+        sizes = range(100) if kind in ("best_small", "worst_small") else range(121)
+        for n in sizes:
+            k_params = {1, max(n, 1)} if kind == "k_distinct" else {None}
+            for k_param in k_params:
+                spec = DatasetSpec(kind, n, seed=n, k_param=k_param)
+                assert len(generate(spec)) == spec.n, spec
+
+
 class TestSmallConstructions:
     @pytest.mark.parametrize("n", [2, 3, 6, 10, 50, 99])
     @pytest.mark.parametrize("kind", ["best_small", "worst_small"])

@@ -34,3 +34,19 @@ def test_correctness_names_a_random_input(monkeypatch):
     monkeypatch.setattr(acceptance, "ALGORITHMS", {"bcis": loses_an_item_above_10})
     with pytest.raises(bench.VerificationError, match=r"^bcis on random n=\d+: "):
         acceptance.check_correctness({})
+
+
+def sorts_at_7n_comparisons(seq):
+    seq.sort()
+    return SortStats(comparisons=7 * len(seq))
+
+
+def test_failing_bounds_list_every_size(monkeypatch):
+    monkeypatch.setitem(bench.ALGORITHMS, "bcis", sorts_at_7n_comparisons)
+    result = acceptance.check_sorted_bound({})
+    assert not result.passed
+    assert result.detail == "n=10000: comps/n=7.000, n=100000: comps/n=7.000 outside [2, 6]"
+    result = acceptance.check_reverse_bound({})
+    assert not result.passed
+    assert result.detail.startswith("n=1000: ") and ", n=10000: " in result.detail
+    assert result.detail.endswith(" outside [0.8, 1.3]")
