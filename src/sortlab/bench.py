@@ -292,6 +292,10 @@ def _parse_field(name: str, text: str):
     if name in ("algo", "dist"):
         return text
     value = int(text)
+    # int() also reads "1_024", " 64", "+64" and other digit scripts, which
+    # write_csv would not write back byte for byte.
+    if text != str(value):
+        raise ValueError(f"must be a canonical integer, got {text!r}")
     # DatasetSpec checks n and k_param; a seed may be any integer.
     if value < 0 and name not in ("n", "k_param", "seed"):
         raise ValueError(f"must be nonnegative, got {value}")

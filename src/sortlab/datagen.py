@@ -6,12 +6,22 @@ the same sequence, across runs and platforms.  The PRNG is Python's
 Mersenne Twister (``random.Random``), which is portable and stable;
 per-trial seeds are split from a base seed with BLAKE2b (see
 :func:`derive_seed`).
+
+``uniform`` and ``k_distinct`` values are exactly those that
+``randrange(lo, hi + 1)`` and ``choice(pool)`` give on the spec's seed, but
+drawn in bulk (:func:`_below`).  The equality rests on CPython's
+``getrandbits`` word order and ``_randbelow`` rejection rule, which
+``tests/test_datagen.py`` pins against the per-item calls.  Integer CSV
+fields must be canonical (``str(int(text)) == text``, checked by
+``bench.read_csv``), so a row read back names the spec that made its input.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -84,7 +94,8 @@ def generate(spec: DatasetSpec) -> List[int]:
     lo, hi = VALUE_RANGE
 
     if spec.kind == "uniform":
-        return [rng.randrange(lo, hi + 1) for _ in range(n)]
+        values = _below(rng, hi - lo + 1, n)
+        return list(map(lo.__add__, values)) if lo else values
     if spec.kind == "sorted":
         return list(range(1, n + 1))
     if spec.kind == "reverse":
@@ -94,9 +105,37 @@ def generate(spec: DatasetSpec) -> List[int]:
         return [value] * n
     if spec.kind == "k_distinct":
         pool = rng.sample(range(lo, hi + 1), spec.k_param)
-        return [rng.choice(pool) for _ in range(n)]
+        return list(map(pool.__getitem__, _below(rng, spec.k_param, n)))
     # best_small or worst_small
     return _small_construction(n, rng, ascending=spec.kind == "best_small")
+
+
+#: Most 32-bit words :func:`_below` takes from the generator at once, so
+#: its transient buffers stay small next to the lists it returns.
+_CHUNK = 2**16
+
+
+def _below(rng: random.Random, bound: int, count: int) -> List[int]:
+    """The values of ``count`` calls of ``rng._randbelow(bound)``, for
+    ``0 < bound < 2**32``, drawn in bulk.
+
+    ``_randbelow`` takes the top ``k = bound.bit_length()`` bits of a 32-bit
+    word and redraws while they are ``>= bound``; they are below ``bound``
+    exactly when the word is below ``bound << (32 - k)``.
+    ``getrandbits(32 * m)`` holds its m words in draw order from the low
+    bits up.  Each chunk asks only for the words still missing, so ``rng``
+    ends where ``count`` calls would leave it.
+    """
+    shift = 32 - bound.bit_length()
+    keep = (bound << shift).__gt__
+    out: List[int] = []
+    while len(out) < count:
+        m = min(count - len(out), _CHUNK)
+        words = array("I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        out += map(shift.__rrshift__, filter(keep, words))
+    return out
 
 
 def _small_construction(n: int, rng: random.Random, ascending: bool) -> List[int]:

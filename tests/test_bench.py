@@ -278,6 +278,12 @@ class TestCsv:
             ("terminated_by_equal", "True", "must be true or false, got 'True'"),
             ("comparisons", "-591", "must be nonnegative, got -591$"),
             ("trial", "-1", "must be nonnegative, got -1$"),
+            ("n", "1_024", "must be a canonical integer, got '1_024'$"),
+            ("n", " 64", "must be a canonical integer, got ' 64'$"),
+            ("n", "+64", r"must be a canonical integer, got '\+64'$"),
+            ("n", "\u0666\u0664", "must be a canonical integer, got '\u0666\u0664'$"),
+            ("seed", "-0", "must be a canonical integer, got '-0'$"),
+            ("comparisons", "007", "must be a canonical integer, got '007'$"),
         ],
     )
     def test_bad_field_names_its_line_and_column(self, column, text, message):

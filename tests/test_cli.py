@@ -186,9 +186,10 @@ def test_io_errors(tmp_path):
         (CSV_HEADER + "\nbcis,uniform,10,,1,0,,5,0,1,false,\n").encode(),  # no comparisons
         (CSV_HEADER + "\nbcis,normal,-64,,1,0,5,5,0,1,false,\n").encode(),  # invalid dataset
         (CSV_HEADER + "\nbcis,uniform,10,,1,0,-5,5,0,1,false,\n").encode(),  # negative counter
+        (CSV_HEADER + "\nbcis,uniform,1_024,,1,0,5,5,0,1,false,\n").encode(),  # n not canonical
     ],
     ids=["foreign-header", "truncated-row", "non-integer", "non-utf8", "non-boolean",
-         "blank-counter", "invalid-dataset", "negative-counter"],
+         "blank-counter", "invalid-dataset", "negative-counter", "non-canonical-integer"],
 )
 @pytest.mark.parametrize("command", ["summary", "fit"])
 def test_malformed_csv_is_an_io_error(tmp_path, capsys, content, command):

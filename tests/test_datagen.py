@@ -1,12 +1,14 @@
 """Unit tests for the dataset generators."""
 
+import random
 import re
 from dataclasses import replace
 
 import pytest
 
+import datagen_reference
 from sortlab import DatasetSpec, DatasetSpecError, bcis_sort, generate
-from sortlab.datagen import KINDS, VALUE_RANGE, derive_seed, sweep_sizes
+from sortlab.datagen import KINDS, VALUE_RANGE, _below, derive_seed, sweep_sizes
 
 
 def _raises(message):
@@ -104,6 +106,30 @@ def test_generates_n_items():
             for k_param in k_params:
                 spec = DatasetSpec(kind, n, seed=n, k_param=k_param)
                 assert len(generate(spec)) == spec.n, spec
+
+
+@pytest.mark.parametrize(
+    "bound", [1, 2, 3, 5, 50, 64, 255, 256, 257, 1000, 1001, 2**20 + 1, 2**31 - 1, 2**31]
+)
+def test_bulk_draws_equal_randrange(bound):
+    # _below relies on CPython's getrandbits word order and _randbelow
+    # rejection rule; this pins both on each Python version.
+    for seed in range(50):
+        for count in (0, 1, 2, 2**16 + 5):  # the last crosses a chunk
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert _below(rng, bound, count) == [ref.randrange(bound) for _ in range(count)]
+            assert rng.getstate() == ref.getstate(), (seed, count)
+
+
+def test_generate_equals_per_item_draws():
+    for n in [*range(121), 10**5]:
+        specs = [DatasetSpec("uniform", n, seed=n)] + [
+            DatasetSpec("k_distinct", n, seed=n, k_param=k)
+            for k in {1, 2, 50, 64, max(n, 1)}
+            if k <= max(n, 1)
+        ]
+        for spec in specs:
+            assert generate(spec) == datagen_reference.generate(spec), spec
 
 
 class TestSmallConstructions:
