@@ -5,9 +5,10 @@ the runner executes them in that order, one pass/fail line per criterion.
 Operation counts are the binding signal; the wall-time tables are
 informational because absolute timing is machine-dependent.
 
-The full gate takes about three minutes in CPython (3.11 on a 2-vCPU
-VM): the 20-seed BCIS scaling sweep (#7, about 136 s) dominates, then the
-wall-time tables (#11, about 40 s) and correctness (#1, about 10 s).
+The full gate takes a little over two minutes in CPython (3.11 on a
+2-vCPU VM): the 20-seed BCIS scaling sweep (#7, about 83 s) dominates,
+then the wall-time tables (#11, about 37 s) and correctness (#1, about
+10 s).
 """
 
 from __future__ import annotations

@@ -296,7 +296,7 @@ def _parse_field(name: str, text: str):
     # write_csv would not write back byte for byte.
     if text != str(value):
         raise ValueError(f"must be a canonical integer, got {text!r}")
-    # DatasetSpec checks n and k_param; a seed may be any integer.
+    # DatasetSpec checks n, k_param and seed.
     if value < 0 and name not in ("n", "k_param", "seed"):
         raise ValueError(f"must be nonnegative, got {value}")
     return value

@@ -63,6 +63,10 @@ class DatasetSpec:
         out: List[str] = []
         if self.n < 0:
             out.append(f"n must be nonnegative, got {self.n}")
+        # Random(-s) is seeded exactly as Random(s), so a negative seed
+        # would name the same input as its absolute value.
+        if self.seed < 0:
+            out.append(f"seed must be nonnegative, got {self.seed}")
         if self.kind == "k_distinct":
             if self.k_param is None:
                 out.append("k_distinct requires k_param")

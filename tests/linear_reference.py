@@ -4,7 +4,10 @@ before they found each stop index by binary search.
 Test-only reference: each insertion here shifts one slot per guard, so the
 counters these kernels return describe comparisons and writes they really
 perform.  The production kernels must match them in output, in all five
-counters and in the ``trip_hook`` windows.
+counters and in the ``trip_hook`` windows.  The BCIS kernel here still
+tallies each classification as the pre-scan or the sweep makes it, so it
+is the independent check of the production kernel's one count per trip
+window.
 """
 
 from __future__ import annotations

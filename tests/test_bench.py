@@ -301,10 +301,12 @@ class TestCsv:
         [
             ({"dist": "normal", "n": "-64"}, "kind must be one of"),
             ({"n": "-64"}, "n must be nonnegative, got -64$"),
+            ({"seed": "-7"}, "seed must be nonnegative, got -7$"),
             ({"dist": "k_distinct"}, "k_distinct requires k_param$"),
             ({"k_param": "5"}, "k_param only applies to k_distinct, got kind='uniform'$"),
         ],
-        ids=["unknown-dist", "negative-n", "k-distinct-without-k", "k-param-on-uniform"],
+        ids=["unknown-dist", "negative-n", "negative-seed", "k-distinct-without-k",
+             "k-param-on-uniform"],
     )
     def test_invalid_dataset_names_its_line(self, edits, message):
         buf = io.StringIO()

@@ -47,6 +47,10 @@ class TestValidate:
         with _raises("n must be nonnegative, got -1"):
             DatasetSpec("uniform", -1)
 
+    def test_negative_seed(self):
+        with _raises("seed must be nonnegative, got -7"):
+            DatasetSpec("uniform", 12, seed=-7)
+
     def test_k_param_rejected_elsewhere(self):
         with _raises("k_param only applies to k_distinct, got kind='uniform'"):
             DatasetSpec("uniform", 10, k_param=5)
