@@ -114,11 +114,6 @@ def generate(spec: DatasetSpec) -> List[int]:
     return _small_construction(n, rng, ascending=spec.kind == "best_small")
 
 
-#: Most 32-bit words :func:`_below` takes from the generator at once, so
-#: its transient buffers stay small next to the lists it returns.
-_CHUNK = 2**16
-
-
 def _below(rng: random.Random, bound: int, count: int) -> List[int]:
     """The values of ``count`` calls of ``rng._randbelow(bound)``, for
     ``0 < bound < 2**32``, drawn in bulk.
@@ -127,14 +122,14 @@ def _below(rng: random.Random, bound: int, count: int) -> List[int]:
     word and redraws while they are ``>= bound``; they are below ``bound``
     exactly when the word is below ``bound << (32 - k)``.
     ``getrandbits(32 * m)`` holds its m words in draw order from the low
-    bits up.  Each chunk asks only for the words still missing, so ``rng``
-    ends where ``count`` calls would leave it.
+    bits up.  Each round asks for every word still missing, and only for
+    those, so ``rng`` ends where ``count`` calls would leave it.
     """
     shift = 32 - bound.bit_length()
     keep = (bound << shift).__gt__
     out: List[int] = []
     while len(out) < count:
-        m = min(count - len(out), _CHUNK)
+        m = count - len(out)
         words = array("I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
         if sys.byteorder == "big":
             words.byteswap()
@@ -151,7 +146,8 @@ def _small_construction(n: int, rng: random.Random, ascending: bool) -> List[int
     sorter swaps the window middle to the right boundary before reading
     its comparators, so the layout is pre-inverted against that move:
     positions mid and n are exchanged here and the first trip restores
-    them.
+    them.  The seed only picks the base value, so every seed gives the
+    same order and the same counts.
     """
     base = rng.randrange(0, 2**31 - n) if n else 0
     values = list(range(base, base + n))

@@ -45,16 +45,6 @@ def _record(algo="bcis", n=100, trial=0, comparisons=10, assignments=5, **kw):
 
 
 class TestRunTrial:
-    def test_equal_input_linear(self):
-        rec = run_trial("bcis", DatasetSpec("equal", 1000, seed=5), "count")
-        assert rec.terminated_by_equal
-        assert rec.comparisons <= 2000
-        assert rec.elapsed_ns is None
-
-    def test_is_on_sorted_input(self):
-        rec = run_trial("is", DatasetSpec("sorted", 100), "count")
-        assert rec.comparisons == 99
-
     def test_time_mode(self):
         # A time trial records what the count trial of the same spec does,
         # plus its elapsed time.

@@ -119,7 +119,7 @@ def test_bulk_draws_equal_randrange(bound):
     # _below relies on CPython's getrandbits word order and _randbelow
     # rejection rule; this pins both on each Python version.
     for seed in range(50):
-        for count in (0, 1, 2, 2**16 + 5):  # the last crosses a chunk
+        for count in (*range(21), 1000):  # most take more than one round
             rng, ref = random.Random(seed), random.Random(seed)
             assert _below(rng, bound, count) == [ref.randrange(bound) for _ in range(count)]
             assert rng.getstate() == ref.getstate(), (seed, count)
@@ -146,25 +146,14 @@ class TestSmallConstructions:
         bcis_sort(work)
         assert work == sorted(data)
 
-    @pytest.mark.parametrize("n", [10, 50, 99])
-    def test_best_insertions_are_cheap(self, n):
-        # every insertion goes left at constant cost: linear totals
-        for t in range(20):
-            spec = DatasetSpec("best_small", n, seed=derive_seed(0, n, t))
-            work = generate(spec)
-            stats = bcis_sort(work)
-            assert stats.sort_trips == 1
-            assert stats.comparisons <= 3 * n
-            assert stats.assignments <= 3 * n
-
-    @pytest.mark.parametrize("n", [10, 50, 99])
-    def test_worst_costs_quadratic(self, n):
-        target = n * (n - 1) / 2
-        for t in range(20):
-            spec = DatasetSpec("worst_small", n, seed=derive_seed(1, n, t))
-            work = generate(spec)
-            stats = bcis_sort(work)
-            assert 0.9 * target <= stats.comparisons <= 1.1 * target
+    @pytest.mark.parametrize("kind", ["best_small", "worst_small"])
+    def test_counts_do_not_depend_on_seed(self, kind):
+        # The seed only picks the base value, so gate criteria #5 and #6,
+        # which bound these counts at n = 10, 50, 99, hold for every seed.
+        for n in range(2, 100):
+            stats = [bcis_sort(generate(DatasetSpec(kind, n, seed=s))) for s in (0, 1, 2**63)]
+            assert stats[0] == stats[1] == stats[2], (kind, n)
+            assert kind == "worst_small" or stats[0].sort_trips == 1, n
 
     def test_worst_n6_hand_trace(self):
         # layout pre-inverted against the first boundary swap: undoing it
