@@ -146,6 +146,26 @@ class TestSmallConstructions:
         bcis_sort(work)
         assert work == sorted(data)
 
+    @pytest.mark.parametrize("n", [10, 50, 99])
+    def test_best_insertions_are_cheap(self, n):
+        # every insertion goes left at constant cost: linear totals
+        for t in range(20):
+            spec = DatasetSpec("best_small", n, seed=derive_seed(0, n, t))
+            work = generate(spec)
+            stats = bcis_sort(work)
+            assert stats.sort_trips == 1
+            assert stats.comparisons <= 3 * n
+            assert stats.assignments <= 3 * n
+
+    @pytest.mark.parametrize("n", [10, 50, 99])
+    def test_worst_costs_quadratic(self, n):
+        target = n * (n - 1) / 2
+        for t in range(20):
+            spec = DatasetSpec("worst_small", n, seed=derive_seed(1, n, t))
+            work = generate(spec)
+            stats = bcis_sort(work)
+            assert 0.9 * target <= stats.comparisons <= 1.1 * target
+
     @pytest.mark.parametrize("kind", ["best_small", "worst_small"])
     def test_counts_do_not_depend_on_seed(self, kind):
         # The seed only picks the base value, so gate criteria #5 and #6,
