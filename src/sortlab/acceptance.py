@@ -5,10 +5,9 @@ the runner executes them in that order, one pass/fail line per criterion.
 Operation counts are the binding signal; the wall-time tables are
 informational because absolute timing is machine-dependent.
 
-The full gate takes a little over two minutes in CPython (3.11 on a
-2-vCPU VM): the 20-seed BCIS scaling sweep (#7, about 83 s) dominates,
-then the wall-time tables (#11, about 37 s) and correctness (#1, about
-10 s).
+The full gate takes about two minutes in CPython (3.11 on a 2-vCPU VM):
+the 20-seed BCIS scaling sweep (#7, about 80 s) dominates, then the
+wall-time tables (#11, about 18 s) and correctness (#1, about 10 s).
 """
 
 from __future__ import annotations
@@ -44,9 +43,9 @@ class CheckResult:
         return f"{tag}  {self.number:2d}. {self.name}: {self.detail}"
 
 
-#: Mean (comparisons, assignments) per ``(algo, kind, n, label)``, shared by
-#: the criteria of one gate run.
-Cache = Dict[Tuple[str, str, int, str], Tuple[float, float]]
+#: Mean (comparisons, assignments) on ``uniform`` input per ``(algo, n, label)``,
+#: shared by the criteria of one gate run.
+Cache = Dict[Tuple[str, int, str], Tuple[float, float]]
 #: What a criterion's body returns: whether it passed, and the detail text.
 Verdict = Tuple[bool, str]
 
@@ -77,12 +76,13 @@ def criterion(number: int, name: str, report_only: bool = False):
     return register
 
 
-def _mean_counts(cache: Cache, algo: str, kind: str, n: int, label: str) -> Tuple[float, float]:
-    """Mean (comparisons, assignments) over ``AVG_TRIALS`` seeded trials, run once per cache."""
-    key = (algo, kind, n, label)
+def _mean_counts(cache: Cache, algo: str, n: int, label: str) -> Tuple[float, float]:
+    """Mean (comparisons, assignments) over ``AVG_TRIALS`` seeded ``uniform``
+    trials, run once per cache."""
+    key = (algo, n, label)
     if key not in cache:
-        seeds = [derive_seed(BASE_SEED, label, algo, kind, n, t) for t in range(AVG_TRIALS)]
-        recs = [run_trial(algo, DatasetSpec(kind, n, seed=seed)) for seed in seeds]
+        seeds = [derive_seed(BASE_SEED, label, algo, "uniform", n, t) for t in range(AVG_TRIALS)]
+        recs = [run_trial(algo, DatasetSpec("uniform", n, seed=seed)) for seed in seeds]
         cache[key] = (statistics.fmean(r.comparisons for r in recs),
                       statistics.fmean(r.assignments for r in recs))
     return cache[key]
@@ -180,7 +180,7 @@ def check_average_scaling(cache: Cache) -> Verdict:
     means = []
     for e in range(10, 18):
         n = 2**e
-        mc, ma = _mean_counts(cache, "bcis", "uniform", n, "scaling")
+        mc, ma = _mean_counts(cache, "bcis", n, "scaling")
         if not ma < mc:
             return False, f"n={n}: assigns {ma:.0f} >= comps {mc:.0f}"
         means.append((n, mc))
@@ -201,7 +201,7 @@ def check_average_scaling(cache: Cache) -> Verdict:
 
 @criterion(8, "insertion-sort fidelity")
 def check_is_fidelity(cache: Cache) -> Verdict:
-    ratios = {n: _mean_counts(cache, "is", "uniform", n, "isbase")[0] / (n * n / 4)
+    ratios = {n: _mean_counts(cache, "is", n, "isbase")[0] / (n * n / 4)
               for n in (10**3, 10**4)}
     return _within(ratios, 0.9, 1.1, "{:.4f}")
 
@@ -209,8 +209,8 @@ def check_is_fidelity(cache: Cache) -> Verdict:
 @criterion(9, "bcis/is comparison ratio")
 def check_count_ratio(cache: Cache) -> Verdict:
     n = 10**4
-    bcis_mean, _ = _mean_counts(cache, "bcis", "uniform", n, "cmpratio")
-    ratio = bcis_mean / _mean_counts(cache, "is", "uniform", n, "isbase")[0]
+    bcis_mean, _ = _mean_counts(cache, "bcis", n, "cmpratio")
+    ratio = bcis_mean / _mean_counts(cache, "is", n, "isbase")[0]
     ok = 0.02 <= ratio <= 0.10
     return ok, f"n=10^4: {ratio:.4f} {'in' if ok else 'outside'} [0.02, 0.10]"
 

@@ -96,15 +96,13 @@ def run_trial(
     dataset, sorts a clone, and verifies the clone against the sorted
     input before returning a record; a verification failure aborts with
     the offending spec and seed in the message.  The record always carries
-    the sort's counters; a ``time`` trial also sets ``elapsed_ns``, timing
-    the sort after one untimed warm-up pass on a separate clone.
+    the sort's counters; a ``time`` trial also sets ``elapsed_ns``, the
+    wall time of that one sort call.
     """
     _check_trial(algo, mode)
     sort = ALGORITHMS[algo]
     data = generate(spec)
 
-    if mode == "time":
-        sort(list(data))  # warm-up
     work = list(data)
     t0 = time.perf_counter_ns()
     stats = sort(work)

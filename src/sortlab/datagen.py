@@ -8,7 +8,7 @@ per-trial seeds are split from a base seed with BLAKE2b (see
 :func:`derive_seed`).
 
 ``uniform`` and ``k_distinct`` values are exactly those that
-``randrange(lo, hi + 1)`` and ``choice(pool)`` give on the spec's seed, but
+``randrange(VALUE_BOUND)`` and ``choice(pool)`` give on the spec's seed, but
 drawn in bulk (:func:`_below`).  The equality rests on CPython's
 ``getrandbits`` word order and ``_randbelow`` rejection rule, which
 ``tests/test_datagen.py`` pins against the per-item calls.  Integer CSV
@@ -38,9 +38,9 @@ KINDS = (
     "worst_small",
 )
 
-#: Inclusive bounds of the values drawn by ``uniform``, ``equal`` and
-#: ``k_distinct``.
-VALUE_RANGE = (0, 2**31 - 1)
+#: Values drawn by ``uniform``, ``equal`` and ``k_distinct`` lie in
+#: ``[0, VALUE_BOUND)``.
+VALUE_BOUND = 2**31
 
 
 class DatasetSpecError(ValueError):
@@ -95,20 +95,18 @@ def generate(spec: DatasetSpec) -> List[int]:
     """Materialize the sequence described by ``spec``."""
     n = spec.n
     rng = random.Random(spec.seed)
-    lo, hi = VALUE_RANGE
 
     if spec.kind == "uniform":
-        values = _below(rng, hi - lo + 1, n)
-        return list(map(lo.__add__, values)) if lo else values
+        return _below(rng, VALUE_BOUND, n)
     if spec.kind == "sorted":
         return list(range(1, n + 1))
     if spec.kind == "reverse":
         return list(range(n, 0, -1))
     if spec.kind == "equal":
-        value = rng.randrange(lo, hi + 1)
+        value = rng.randrange(VALUE_BOUND)
         return [value] * n
     if spec.kind == "k_distinct":
-        pool = rng.sample(range(lo, hi + 1), spec.k_param)
+        pool = rng.sample(range(VALUE_BOUND), spec.k_param)
         return list(map(pool.__getitem__, _below(rng, spec.k_param, n)))
     # best_small or worst_small
     return _small_construction(n, rng, ascending=spec.kind == "best_small")
@@ -149,7 +147,7 @@ def _small_construction(n: int, rng: random.Random, ascending: bool) -> List[int
     them.  The seed only picks the base value, so every seed gives the
     same order and the same counts.
     """
-    base = rng.randrange(0, 2**31 - n) if n else 0
+    base = rng.randrange(VALUE_BOUND - n) if n else 0
     values = list(range(base, base + n))
     if n < 2:
         return values

@@ -10,16 +10,15 @@ from __future__ import annotations
 import random
 from typing import List
 
-from sortlab.datagen import VALUE_RANGE, DatasetSpec
+from sortlab.datagen import VALUE_BOUND, DatasetSpec
 
 
 def generate(spec: DatasetSpec) -> List[int]:
     """The ``uniform`` or ``k_distinct`` sequence of ``spec``."""
     rng = random.Random(spec.seed)
-    lo, hi = VALUE_RANGE
     if spec.kind == "uniform":
-        return [rng.randrange(lo, hi + 1) for _ in range(spec.n)]
+        return [rng.randrange(VALUE_BOUND) for _ in range(spec.n)]
     if spec.kind == "k_distinct":
-        pool = rng.sample(range(lo, hi + 1), spec.k_param)
+        pool = rng.sample(range(VALUE_BOUND), spec.k_param)
         return [rng.choice(pool) for _ in range(spec.n)]
     raise ValueError(f"no reference for kind {spec.kind!r}")

@@ -1,8 +1,8 @@
 """Acceptance gate: the criteria that take seconds to minutes, one test each.
 
 These are the slow criteria (``SLOW`` in ``test_gate.py``); the fast ones
-run in ``test_gate.py``, in the fast suite.  Expect a little over two
-minutes, most of it #7, the 20-seed BCIS scaling sweep.
+run in ``test_gate.py``, in the fast suite.  Expect about two minutes,
+most of it #7, the 20-seed BCIS scaling sweep.
 """
 
 import re

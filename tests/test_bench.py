@@ -45,14 +45,23 @@ def _record(algo="bcis", n=100, trial=0, comparisons=10, assignments=5, **kw):
 
 
 class TestRunTrial:
-    def test_time_mode(self):
+    def test_time_mode(self, monkeypatch):
         # A time trial records what the count trial of the same spec does,
-        # plus its elapsed time.
+        # plus its elapsed time; each trial, in either mode, sorts once.
         spec = DatasetSpec("k_distinct", 200, k_param=5, seed=1)
-        for algo in ALGORITHMS:
+        for algo, sort in list(ALGORITHMS.items()):
+            calls = []
+
+            def counted(seq, sort=sort):
+                calls.append(len(seq))
+                return sort(seq)
+
+            monkeypatch.setitem(bench.ALGORITHMS, algo, counted)
             timed = run_trial(algo, spec, "time")
+            assert calls == [200]
             assert timed.elapsed_ns is not None and timed.elapsed_ns > 0
             assert replace(timed, elapsed_ns=None) == run_trial(algo, spec, "count")
+            assert calls == [200, 200]
 
     def test_unknown_algo(self):
         with pytest.raises(ValueError):

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import sortlab
-from sortlab import SortStats, TrialRecord, acceptance, bench, insertion_sort, write_csv
+from sortlab import TrialRecord, acceptance, bench, insertion_sort, write_csv
 from sortlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from sortlab.bench import CSV_HEADER
+
+from test_gate import loses_an_item_above
 
 
 def test_bench_writes_trial_csv(tmp_path):
@@ -134,12 +136,7 @@ def test_bad_grid_is_a_usage_error_before_any_trial(tmp_path, monkeypatch, capsy
 
 
 def test_bench_verification_failure_writes_nothing(tmp_path, monkeypatch, capsys):
-    def sorted_but_lossy(seq):
-        seq.sort()
-        seq[0] = seq[1]  # still sorted, but the smallest item is lost
-        return SortStats()
-
-    monkeypatch.setitem(bench.ALGORITHMS, "bcis", sorted_but_lossy)
+    monkeypatch.setitem(bench.ALGORITHMS, "bcis", loses_an_item_above(1))
     out = tmp_path / "x.csv"
     assert main(["bench", "--algo", "bcis", "--dist", "uniform", "--n", "10",
                  "--trials", "1", "--out", str(out)]) == EXIT_VERIFICATION
@@ -309,12 +306,7 @@ def test_skip_timing_reports_the_timing_tables_as_skipped(monkeypatch, capsys):
 
 
 def test_verify_reports_a_verification_failure(monkeypatch, capsys):
-    def sorted_but_lossy(seq):
-        seq.sort()
-        seq[0] = seq[1]  # still sorted, but the smallest item is lost
-        return SortStats()
-
-    monkeypatch.setitem(bench.ALGORITHMS, "bcis", sorted_but_lossy)
+    monkeypatch.setitem(bench.ALGORITHMS, "bcis", loses_an_item_above(1))
     monkeypatch.setattr(
         acceptance, "CRITERIA", [acceptance.check_sorted_bound, acceptance.check_cost_models]
     )

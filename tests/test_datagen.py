@@ -8,7 +8,7 @@ import pytest
 
 import datagen_reference
 from sortlab import DatasetSpec, DatasetSpecError, bcis_sort, generate
-from sortlab.datagen import KINDS, VALUE_RANGE, _below, derive_seed, sweep_sizes
+from sortlab.datagen import KINDS, VALUE_BOUND, _below, derive_seed, sweep_sizes
 
 
 def _raises(message):
@@ -91,9 +91,8 @@ class TestGenerate:
         assert generate(spec) != generate(other)
 
     def test_uniform_range(self):
-        lo, hi = VALUE_RANGE
         data = generate(DatasetSpec("uniform", 500, seed=3))
-        assert all(lo <= v <= hi for v in data)
+        assert all(0 <= v < VALUE_BOUND for v in data)
 
     def test_k_distinct_counts(self):
         data = generate(DatasetSpec("k_distinct", 10**4, seed=8, k_param=50))
