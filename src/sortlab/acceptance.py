@@ -5,9 +5,9 @@ the runner executes them in that order, one pass/fail line per criterion.
 Operation counts are the binding signal; the wall-time tables are
 informational because absolute timing is machine-dependent.
 
-The full gate takes about two minutes in CPython (3.11 on a 2-vCPU VM):
-the 20-seed BCIS scaling sweep (#7, about 80 s) dominates, then the
-wall-time tables (#11, about 18 s) and correctness (#1, about 10 s).
+The full gate takes about 100 s in CPython (3.11 on a 2-vCPU VM): the
+20-seed BCIS scaling sweep (#7, about 60 s) dominates, then the
+wall-time tables (#11, about 19 s) and correctness (#1, about 11 s).
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Bidirectional conditional insertion sort with operation counting.
 
-The sorter keeps ascending-sorted runs at both ends of the sequence and
-grows them inward.  Each outer iteration ("sort trip") fixes the boundary
+The sorter keeps ascending-sorted runs at both ends of the list and grows
+them inward.  Each outer iteration ("sort trip") fixes the boundary
 elements LC and RC as comparators, then sweeps the unsorted window once,
 moving items <= LC into the left run and items >= RC into the right run.
 Items strictly between the comparators stay put until a later trip.
-
 Elements may be any values with a consistent total order; the sort is in
 place and not stable.
 
@@ -20,36 +19,43 @@ the pre-scan and the sweep makes it.
 The insertion counters are those of the paper's linear scan, which shifts
 the run one slot per guard.  The kernel performs the first guard and shift
 as that scan does; when the next guard also holds, it finds the same stop
-index by binary search and moves the run with one slice assignment.
+index by binary search and moves the run with one slice assignment.  The
+sweep scans with the list's iterator, seeked once per trip, and tests no
+bound: ``seq[sr]``, the right run's minimum, is never below RC, even after
+right insertions, so the scan stops at ``sr`` at the latest.  A right
+insertion refills slot ``i`` with an unscanned item, classified at once,
+so the iterator, standing at ``i + 1``, is never re-seeked.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from math import isqrt
-from typing import Callable, MutableSequence, Optional
+from typing import Callable, Optional
 
 from .stats import SortStats
 
 #: Window span at and above which the guarded pre-scan runs.
 PRESCAN_SPAN = 100
 
-TripHook = Callable[[MutableSequence, int, int], None]
+TripHook = Callable[[list, int, int], None]
 
 
-def bcis_sort(seq: MutableSequence, trip_hook: Optional[TripHook] = None) -> SortStats:
-    """Sort seq ascending in place and return its counters.
+def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
+    """Sort the list seq ascending in place and return its counters; any
+    other type raises ``TypeError`` before anything is written.
 
     ``trip_hook``, when given, is called as ``trip_hook(seq, sl, sr)`` at
     the top of every sort trip, before the trip mutates anything;
     ``seq[sl..sr]`` (0-based, inclusive) is the unsorted window,
     ``seq[:sl]`` and ``seq[sr + 1:]`` the two runs.
     """
+    if not isinstance(seq, list):
+        raise TypeError(f"bcis_sort needs a list, not {type(seq).__name__}")
     comps = assigns = swaps = trips = 0
     all_equal = False
     last = len(seq) - 1
-    sl = 0
-    sr = last
+    sl, sr = 0, last
     while sl < sr:
         trips += 1
         if trip_hook is not None:
@@ -63,9 +69,8 @@ def bcis_sort(seq: MutableSequence, trip_hook: Optional[TripHook] = None) -> Sor
 
         comps += 1
         if seq[sl] == seq[sr]:
-            # Look for an item differing from the equal boundaries and
-            # swap the first one to sl; if there is none the window is one
-            # repeated value and the sort is done.
+            # Swap the first item differing from the equal boundaries to
+            # sl; if there is none, the window is one value: done.
             pivot = seq[sl]
             k = sl + 1
             while k < sr and seq[k] == pivot:
@@ -82,15 +87,13 @@ def bcis_sort(seq: MutableSequence, trip_hook: Optional[TripHook] = None) -> Sor
             seq[sl], seq[sr] = seq[sr], seq[sl]
             swaps += 1
 
-        # Every interior item is classified once: the pre-scan, when it
-        # runs, takes the first `steps`, and each sweep iteration one more,
-        # moving i up or sr down by one until i == sr.
+        # Every interior item is classified once: the pre-scan takes the
+        # first `steps`, and each sweep step one more, until i == sr.
         comps += sr - sl - 1
 
-        # Guarded pre-scan: on a wide window, classify the first
-        # floor(sqrt(span)) items against the boundaries, swapping anything
-        # beyond them onto them.  The sweep starts past the scanned prefix,
-        # so those items cannot be inserted during this trip.
+        # Guarded pre-scan: on a wide window, swap any of the first
+        # floor(sqrt(span)) items beyond the boundaries onto them.  The sweep
+        # starts past them, so they cannot be inserted during this trip.
         i = sl + 1
         span = sr - sl
         if span >= PRESCAN_SPAN:
@@ -105,24 +108,25 @@ def bcis_sort(seq: MutableSequence, trip_hook: Optional[TripHook] = None) -> Sor
                     swaps += 1
             i += steps
 
-        lc = seq[sl]
-        rc = seq[sr]
-        while i < sr:
-            curr = seq[i]
-            if curr >= rc:
-                # The slot is refilled from below the right run; that
-                # element is unscanned, so i does not advance.  Then curr
-                # is inserted into the run seq[sr..last], extending it to
-                # sr - 1.
+        lc, rc = seq[sl], seq[sr]
+        # No bound test: seq[sr] >= rc stops the scan at sr at the latest.
+        it = iter(seq)
+        it.__setstate__(i)
+        for curr in it:
+            if lc < curr < rc:
+                continue
+            i = last - it.__length_hint__()
+            while i < sr and curr >= rc:
+                # Insert curr into the right run, refilling slot i from
+                # seq[sr - 1], which is classified next, at this i.
                 seq[i] = seq[sr - 1]
                 j = sr
                 if curr > seq[j]:
                     seq[j - 1] = seq[j]
                     j += 1
                     if j <= last and curr > seq[j]:
-                        # Past the first shift, binary search finds the
-                        # index the linear scan stops at, and one slice
-                        # assignment moves the run.
+                        # Past the first shift, bisect finds the linear
+                        # scan's stop index; one slice moves the run.
                         j = bisect_left(seq, curr, j + 1, last + 1)
                         seq[sr:j - 1] = seq[sr + 1:j]
                 seq[j - 1] = curr
@@ -131,7 +135,10 @@ def bcis_sort(seq: MutableSequence, trip_hook: Optional[TripHook] = None) -> Sor
                 comps += j - sr + (j <= last)
                 assigns += j - sr + 2
                 sr -= 1
-            elif curr <= lc:
+                curr = seq[i]
+            if i >= sr:
+                break
+            if curr <= lc:
                 # Mirror image: insert into seq[0..sl], extending it to sl + 1.
                 seq[i] = seq[sl + 1]
                 j = sl
@@ -145,9 +152,6 @@ def bcis_sort(seq: MutableSequence, trip_hook: Optional[TripHook] = None) -> Sor
                 comps += sl - j + (j >= 0)
                 assigns += sl - j + 2
                 sl += 1
-                i += 1
-            else:
-                i += 1
 
         # LC and RC are now extreme for the shrunken window: retire both.
         sl += 1

@@ -4,10 +4,11 @@ before they found each stop index by binary search.
 Test-only reference: each insertion here shifts one slot per guard, so the
 counters these kernels return describe comparisons and writes they really
 perform.  The production kernels must match them in output, in all five
-counters and in the ``trip_hook`` windows.  The BCIS kernel here still
-tallies each classification as the pre-scan or the sweep makes it, so it
-is the independent check of the production kernel's one count per trip
-window.
+counters and in the window and array state that ``trip_hook`` sees.  The
+BCIS kernel here still tallies each classification as the pre-scan or the
+sweep makes it, and scans its window by index with a bound test, so it is
+the independent check of the production kernel's one count per trip
+window and of its bound-free iterator scan.
 """
 
 from __future__ import annotations

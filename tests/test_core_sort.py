@@ -6,6 +6,9 @@ input that isolates it; ``trip_hook`` shows the array between trips.
 """
 
 import random
+from array import array
+
+import pytest
 
 from sortlab import PRESCAN_SPAN, SortStats, bcis_sort, quicksort_mo3
 
@@ -202,6 +205,14 @@ class TestBcisSort:
         seq = ["pear", "apple", "fig", "apple"]
         bcis_sort(seq)
         assert seq == ["apple", "apple", "fig", "pear"]
+
+    def test_non_list_rejected_before_any_write(self):
+        # The sweep scans with a list iterator; another sequence type is
+        # refused up front, not left half sorted.
+        seq = array("i", [3, 1, 2])
+        with pytest.raises(TypeError, match="needs a list"):
+            bcis_sort(seq)
+        assert seq == array("i", [3, 1, 2])
 
     def test_trip_count_bound(self):
         rng = random.Random(5)
