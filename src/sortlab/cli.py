@@ -33,15 +33,12 @@ from .bench import (
     trials_by_size,
     write_csv,
 )
-from .datagen import KINDS, DatasetSpec, sweep_sizes
+from .datagen import KINDS, SAMPLED, DatasetSpec, sweep_sizes
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
 EXIT_IO = 3
-
-#: Deterministic inputs need a single trial; sampled ones default to 20.
-DETERMINISTIC_DISTS = ("sorted", "reverse", "equal")
 
 
 class _IOFailure(Exception):
@@ -71,7 +68,7 @@ def build_parser() -> _Parser:
     bench.add_argument(
         "--trials",
         type=int,
-        help="trials per grid cell (default: 1 for deterministic dists, else 20)",
+        help=f"trials per grid cell (default: 20 for {' and '.join(SAMPLED)}, else 1)",
     )
     bench.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     bench.add_argument("--mode", choices=MODES, default="count")
@@ -106,7 +103,7 @@ def _cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algo.split(",") if a.strip()]
     trials = args.trials
     if trials is None:
-        trials = 1 if args.dist in DETERMINISTIC_DISTS else 20
+        trials = 20 if args.dist in SAMPLED else 1
     sizes = sweep_sizes(args.n)
     grid = [
         (algo, DatasetSpec(args.dist, n, k_param=args.k_param), trials)

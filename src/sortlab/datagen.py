@@ -1,11 +1,12 @@
-"""Deterministic, seeded input generators for the benchmark harness.
+"""Deterministic input generators for the benchmark harness.
 
 Every dataset is described declaratively by a :class:`DatasetSpec`,
 which checks its invariants when built; the same spec always generates
-the same sequence, across runs and platforms.  The PRNG is Python's
-Mersenne Twister (``random.Random``), which is portable and stable;
-per-trial seeds are split from a base seed with BLAKE2b (see
-:func:`derive_seed`).
+the same sequence, across runs and platforms.  Only the kinds in
+:data:`SAMPLED` draw from the spec's seed; every other kind is one fixed
+input per n.  The PRNG is Python's Mersenne Twister (``random.Random``),
+which is portable and stable; per-trial seeds are split from a base seed
+with BLAKE2b (see :func:`derive_seed`).
 
 ``uniform`` and ``k_distinct`` values are exactly those that
 ``randrange(VALUE_BOUND)`` and ``choice(pool)`` give on the spec's seed, but
@@ -38,8 +39,10 @@ KINDS = (
     "worst_small",
 )
 
-#: Values drawn by ``uniform``, ``equal`` and ``k_distinct`` lie in
-#: ``[0, VALUE_BOUND)``.
+#: The kinds that draw from the spec's seed; the others ignore it.
+SAMPLED = ("uniform", "k_distinct")
+
+#: Values drawn by ``uniform`` and ``k_distinct`` lie in ``[0, VALUE_BOUND)``.
 VALUE_BOUND = 2**31
 
 
@@ -94,22 +97,20 @@ def derive_seed(base: int, *parts: object) -> int:
 def generate(spec: DatasetSpec) -> List[int]:
     """Materialize the sequence described by ``spec``."""
     n = spec.n
-    rng = random.Random(spec.seed)
-
-    if spec.kind == "uniform":
-        return _below(rng, VALUE_BOUND, n)
     if spec.kind == "sorted":
         return list(range(1, n + 1))
     if spec.kind == "reverse":
         return list(range(n, 0, -1))
     if spec.kind == "equal":
-        value = rng.randrange(VALUE_BOUND)
-        return [value] * n
-    if spec.kind == "k_distinct":
-        pool = rng.sample(range(VALUE_BOUND), spec.k_param)
-        return list(map(pool.__getitem__, _below(rng, spec.k_param, n)))
-    # best_small or worst_small
-    return _small_construction(n, rng, ascending=spec.kind == "best_small")
+        return [1] * n  # sorted's first item
+    if spec.kind in ("best_small", "worst_small"):
+        return _small_construction(n, ascending=spec.kind == "best_small")
+    rng = random.Random(spec.seed)
+    if spec.kind == "uniform":
+        return _below(rng, VALUE_BOUND, n)
+    # k_distinct
+    pool = rng.sample(range(VALUE_BOUND), spec.k_param)
+    return list(map(pool.__getitem__, _below(rng, spec.k_param, n)))
 
 
 def _below(rng: random.Random, bound: int, count: int) -> List[int]:
@@ -135,7 +136,7 @@ def _below(rng: random.Random, bound: int, count: int) -> List[int]:
     return out
 
 
-def _small_construction(n: int, rng: random.Random, ascending: bool) -> List[int]:
+def _small_construction(n: int, ascending: bool) -> List[int]:
     """Layouts that make every sweep insertion go left at extreme cost.
 
     Position n carries the maximum, position 1 the second maximum, and the
@@ -144,11 +145,9 @@ def _small_construction(n: int, rng: random.Random, ascending: bool) -> List[int
     sorter swaps the window middle to the right boundary before reading
     its comparators, so the layout is pre-inverted against that move:
     positions mid and n are exchanged here and the first trip restores
-    them.  The seed only picks the base value, so every seed gives the
-    same order and the same counts.
+    them.
     """
-    base = rng.randrange(VALUE_BOUND - n) if n else 0
-    values = list(range(base, base + n))
+    values = list(range(1, n + 1))
     if n < 2:
         return values
     middle = values[: n - 2] if ascending else values[: n - 2][::-1]

@@ -12,6 +12,7 @@ import sortlab
 from sortlab import TrialRecord, acceptance, bench, insertion_sort, write_csv
 from sortlab.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from sortlab.bench import CSV_HEADER
+from sortlab.datagen import KINDS, SAMPLED
 
 from test_gate import loses_an_item_above
 
@@ -40,12 +41,15 @@ def test_count_mode_csv_bytes_are_pinned(tmp_path):
 
 
 def test_deterministic_dists_default_to_one_trial(tmp_path):
-    out = tmp_path / "sorted.csv"
-    assert main(["bench", "--algo", "is", "--dist", "sorted", "--n", "100",
-                 "--out", str(out)]) == EXIT_OK
-    lines = [l for l in out.read_text().split("\n") if l]
-    assert len(lines) == 2
-    assert lines[1].startswith("is,sorted,100,")
+    for kind in KINDS:
+        if kind in SAMPLED:
+            continue
+        out = tmp_path / f"{kind}.csv"
+        assert main(["bench", "--algo", "is", "--dist", kind, "--n", "99",
+                     "--out", str(out)]) == EXIT_OK
+        lines = [l for l in out.read_text().split("\n") if l]
+        assert len(lines) == 2, kind
+        assert lines[1].startswith(f"is,{kind},99,")
 
 
 def test_summary_ratio(tmp_path, capsys):
@@ -95,17 +99,18 @@ def test_timing_mode_records_elapsed(tmp_path):
         assert all(fields[6:11])  # the counters are recorded too
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
+    out, missing = str(tmp_path / "x.csv"), str(tmp_path / "none.csv")
     assert main(["bench", "--algo", "nope", "--dist", "uniform", "--n", "10",
-                 "--out", "/tmp/x.csv"]) == EXIT_USAGE
+                 "--out", out]) == EXIT_USAGE
     assert main(["bench", "--algo", "bcis", "--dist", "uniform", "--n", "abc",
-                 "--out", "/tmp/x.csv"]) == EXIT_USAGE
+                 "--out", out]) == EXIT_USAGE
     assert main(["bench", "--algo", "bcis", "--dist", "best_small", "--n", "500",
-                 "--out", "/tmp/x.csv"]) == EXIT_USAGE  # invalid dataset spec
-    assert main(["summary", "--in", "/tmp/none.csv", "--ratio", "bcisis",
+                 "--out", out]) == EXIT_USAGE  # invalid dataset spec
+    assert main(["summary", "--in", missing, "--ratio", "bcisis",
                  "--metric", "comparisons"]) == EXIT_USAGE
     assert main(["bench", "--algo", "bcis", "--dist", "uniform", "--n", "10",
-                 "--mode", "both", "--out", "/tmp/x.csv"]) == EXIT_USAGE
+                 "--mode", "both", "--out", out]) == EXIT_USAGE
     assert main(["nonsense"]) == EXIT_USAGE
 
 

@@ -4,6 +4,7 @@ the gate runs its criteria; the slow criteria are in ``test_acceptance.py``."""
 import pytest
 
 from sortlab import SortStats, acceptance, bench
+from sortlab.cli import EXIT_VERIFICATION, main
 
 #: The criteria that finish in seconds (perfbench's ``gate-subset``) run
 #: here, in the fast suite; the slow ones run in ``test_acceptance.py``.
@@ -105,3 +106,25 @@ def test_failing_bounds_list_every_size(monkeypatch):
     assert not result.passed
     assert result.detail.startswith("n=1000: ") and ", n=10000: " in result.detail
     assert result.detail.endswith(" outside [0.8, 1.3]")
+
+
+def sorts_without_counting(seq):
+    seq.sort()
+    return SortStats()
+
+
+def test_a_criterion_that_raises_fails_and_the_gate_goes_on(monkeypatch, capsys):
+    # #9 divides by #8's insertion-sort mean, which this sort leaves at 0.
+    monkeypatch.setitem(bench.ALGORITHMS, "is", sorts_without_counting)
+    monkeypatch.setattr(acceptance, "AVG_TRIALS", 2)
+    monkeypatch.setattr(
+        acceptance, "CRITERIA", [acceptance.check_is_fidelity, acceptance.check_count_ratio]
+    )
+    assert main(["verify"]) == EXIT_VERIFICATION
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == (
+        "FAIL   8. insertion-sort fidelity: n=1000: 0.0000, n=10000: 0.0000 outside [0.9, 1.1]"
+    )
+    assert lines[1].startswith("FAIL   9. bcis/is comparison ratio: ZeroDivisionError: ")
+    assert len(lines) == 2 and "Traceback" not in captured.err

@@ -139,9 +139,11 @@ def test_insertion_sort_exact_oracle_at_gate_sizes(spec):
 @given(data=st.lists(st.integers(0, 3), min_size=1, max_size=200))
 @settings(max_examples=150, deadline=None)
 def test_equal_flag_only_on_equal_windows(data):
-    stats = bcis_sort(list(data))
+    # The flag is set exactly when the last trip's window holds one value.
+    windows = []
+    stats = bcis_sort(list(data), trip_hook=lambda seq, sl, sr: windows.append(seq[sl : sr + 1]))
+    assert stats.terminated_by_equal == (bool(windows) and len(set(windows[-1])) == 1)
     if len(set(data)) == 1 and len(data) >= 2:
-        assert stats.terminated_by_equal
         assert stats.sort_trips == 1
         assert stats.comparisons <= 2 * len(data)
 
