@@ -1,38 +1,12 @@
-"""Unit tests for the instrumented baseline sorts."""
+"""Unit tests for median-of-three quicksort.
+
+Insertion sort's counters are checked by the exact oracle of
+``test_properties``.
+"""
 
 import random
 
-from sortlab import insertion_sort, quicksort_mo3
-
-
-class TestInsertionSort:
-    def test_two_elements(self):
-        seq = [2, 1]
-        stats = insertion_sort(seq)
-        assert seq == [1, 2]
-        assert stats.comparisons == 1
-
-    def test_ascending_input_one_comparison_per_item(self):
-        seq = [1, 2, 3]
-        stats = insertion_sort(seq)
-        assert seq == [1, 2, 3]
-        assert stats.comparisons == 2
-
-    def test_reverse_input_full_shifts(self):
-        seq = [3, 2, 1]
-        stats = insertion_sort(seq)
-        assert seq == [1, 2, 3]
-        assert stats.comparisons == 3
-        # 3 shifts plus one key placement per outer iteration
-        assert stats.assignments == 3 + 2
-
-    def test_ascending_large(self):
-        n = 500
-        seq = list(range(n))
-        stats = insertion_sort(seq)
-        assert stats.comparisons == n - 1
-        # no shifts: only the key placements
-        assert stats.assignments == n - 1
+from sortlab import quicksort_mo3
 
 
 class TestQuicksortMo3:

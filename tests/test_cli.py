@@ -40,16 +40,15 @@ def test_count_mode_csv_bytes_are_pinned(tmp_path):
     )
 
 
-def test_deterministic_dists_default_to_one_trial(tmp_path):
+def test_trials_default_to_20_for_sampled_kinds_else_1(tmp_path):
     for kind in KINDS:
-        if kind in SAMPLED:
-            continue
         out = tmp_path / f"{kind}.csv"
-        assert main(["bench", "--algo", "is", "--dist", kind, "--n", "99",
+        k_param = ["--k-param", "5"] if kind == "k_distinct" else []
+        assert main(["bench", "--algo", "is", "--dist", kind, "--n", "99", *k_param,
                      "--out", str(out)]) == EXIT_OK
-        lines = [l for l in out.read_text().split("\n") if l]
-        assert len(lines) == 2, kind
-        assert lines[1].startswith(f"is,{kind},99,")
+        rows = [l for l in out.read_text().split("\n") if l][1:]
+        assert len(rows) == (20 if kind in SAMPLED else 1), kind
+        assert all(row.startswith(f"is,{kind},99,") for row in rows), kind
 
 
 def test_summary_ratio(tmp_path, capsys):

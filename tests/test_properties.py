@@ -1,79 +1,107 @@
-"""Property-based checks shared by all three sorts."""
+"""The check shared by every kernel test, and the inputs it runs on.
 
-from collections import Counter
+``_check`` sorts a copy of an input with one of the three sorts and
+asserts what holds on every input; for ``bcis`` and ``is`` that includes
+equality with the linear-scan kernels of ``linear_reference``.  It runs
+here on random lists and on every tuple over {0, 1, 2} up to length 8, on
+the pinned inputs of ``test_core_sort`` and on the constructions and gate
+inputs of ``test_binary_insertion``.  Insertion sort's counters are also
+checked against an exact inversion-count oracle.
+"""
+
 from itertools import accumulate, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sortlab import ALGORITHMS, DatasetSpec, bcis_sort, generate, insertion_sort
+import linear_reference
+from sortlab import ALGORITHMS, DatasetSpec, generate, insertion_sort
 
-element_lists = st.lists(st.integers(-1000, 1000), max_size=300)
+#: The linear-scan kernel each binary-insertion kernel must match.
+REFERENCES = {"bcis": linear_reference.bcis_sort, "is": linear_reference.insertion_sort}
+
+# Two or three values put ties at nearly every stop index; 10**9 values
+# almost none.  Lists up to 300 cross PRESCAN_SPAN (100).
+lists = st.sampled_from([2, 3, 10, 10**9]).flatmap(
+    lambda k: st.lists(st.integers(0, k - 1), max_size=300)
+)
+
+
+def record(sort, data, state=tuple):
+    """Sort a copy of data: the output, the counters and, unless state is
+    None, ``(sl, sr, state(seq))`` at the top of every trip."""
+    work = list(data)
+    trips = []
+    if state is None:
+        stats = sort(work)
+    else:
+        stats = sort(work, trip_hook=lambda seq, sl, sr: trips.append((sl, sr, state(seq))))
+    return work, stats, trips
+
+
+def _check(algo, data, state=tuple):
+    """Sort a copy of data with ``ALGORITHMS[algo]``, assert what holds on
+    every input, and return the ``record`` of the run.
+
+    ``state`` is what BCIS records of the array at each trip (no trips
+    are recorded for the other sorts); the trip-level checks below need
+    the whole array, ``tuple``.
+    """
+    if algo != "bcis":
+        state = None
+    run = record(ALGORITHMS[algo], data, state)
+    out, stats, trips = run
+    n = len(data)
+    assert out == sorted(data)
+    assert stats.assignments >= 3 * stats.swaps
+    if n >= 2:
+        assert stats.sort_trips >= 1
+    if algo in REFERENCES:
+        assert record(REFERENCES[algo], data, state) == run
+    if state is tuple:
+        assert stats.sort_trips == len(trips) <= -(-n // 2) + 1
+        runs = [(seq[:sl], seq[sr + 1 :]) for sl, sr, seq in trips]
+        window = ()
+        for (left, right), (sl, sr, seq) in zip(runs, trips):
+            assert 0 <= sl < sr < n
+            window = seq[sl : sr + 1]
+            assert list(left) == sorted(left) and list(right) == sorted(right)
+            # Retired items bound the window.
+            assert not left or left[-1] <= min(window)
+            assert not right or right[0] >= max(window)
+        # Insertions stay inside the runs: each trip's runs are longer than
+        # the trip before's and keep them on their outer ends.
+        for (left0, right0), (left, right) in zip(runs, runs[1:]):
+            assert len(left) > len(left0) and left[: len(left0)] == left0
+            assert len(right) > len(right0) and right[len(right) - len(right0) :] == right0
+        # The flag is set exactly when the last window holds one value.
+        assert stats.terminated_by_equal == (len(set(window)) == 1)
+        if n >= 2 and len(set(data)) == 1:
+            assert stats.sort_trips == 1 and stats.comparisons <= 2 * n
+    return run
 
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
-@given(data=element_lists)
-@settings(max_examples=150, deadline=None)
+@given(data=lists)
+@settings(max_examples=300, deadline=None)
 def test_sorts_and_preserves_multiset(algo, data):
-    work = list(data)
-    stats = ALGORITHMS[algo](work)
-    assert work == sorted(data)
-    assert Counter(work) == Counter(data)
-    assert stats.assignments >= 3 * stats.swaps
-    if len(data) >= 2:
-        assert stats.sort_trips >= 1
+    _check(algo, data)
 
 
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 def test_exhaustive_small_alphabet(algo):
-    sort = ALGORITHMS[algo]
-    for length in range(7):
+    # 9,841 inputs; they reach the all-equal scan and the equal-boundary swap.
+    for length in range(9):
         for tup in product((0, 1, 2), repeat=length):
-            work = list(tup)
-            sort(work)
-            assert work == sorted(tup)
+            _check(algo, tup)
 
 
-@given(data=element_lists)
-@settings(max_examples=100, deadline=None)
-def test_trip_count_bound(data):
-    stats = bcis_sort(list(data))
-    n = len(data)
-    assert stats.sort_trips <= -(-n // 2) + 1
-
-
-def _runs_per_trip(data):
-    """(left run, right run) at the top of each bcis_sort trip."""
-    runs = []
-    bcis_sort(
-        list(data),
-        trip_hook=lambda seq, sl, sr: runs.append((seq[:sl], seq[sr + 1 :])),
-    )
-    return runs
-
-
-@given(data=element_lists)
-@settings(max_examples=200, deadline=None)
-def test_insert_right_postcondition(data):
-    # Right insertions stay below the retired run: each trip's right run is
-    # sorted and ends with the run the trip before it started with.
-    runs = _runs_per_trip(data)
-    for (_, before), (_, after) in zip(runs, runs[1:]):
-        assert after == sorted(after)
-        assert len(after) > len(before) and after[len(after) - len(before) :] == before
-
-
-@given(data=element_lists)
-@settings(max_examples=200, deadline=None)
-def test_insert_left_postcondition(data):
-    runs = _runs_per_trip(data)
-    for (before, _), (after, _) in zip(runs, runs[1:]):
-        assert after == sorted(after)
-        assert len(after) > len(before) and after[: len(before)] == before
-
-
-@given(data=element_lists)
+@given(data=lists)
+@example(data=[2, 1])
+@example(data=[1, 2, 3])
+@example(data=[3, 2, 1])
+@example(data=list(range(500)))
 @settings(max_examples=150, deadline=None)
 def test_insertion_sort_exact_oracle(data):
     n = len(data)
@@ -83,7 +111,7 @@ def test_insertion_sort_exact_oracle(data):
     # Keys after the first that are strictly below everything before them
     # shift past the whole run, so no guard stops their loop.
     prefix_minima = sum(data[i] < min(data[:i]) for i in range(1, n))
-    stats = insertion_sort(list(data))
+    _, stats, _ = _check("is", data)
     steps = max(n - 1, 0)
     assert stats.comparisons == inversions + steps - prefix_minima
     assert stats.assignments == inversions + steps
@@ -134,24 +162,3 @@ def test_insertion_sort_exact_oracle_at_gate_sizes(spec):
     assert stats.comparisons == inversions + spec.n - 1 - prefix_minima
     assert stats.assignments == inversions + spec.n - 1
     assert (stats.swaps, stats.sort_trips, stats.terminated_by_equal) == (0, spec.n - 1, False)
-
-
-@given(data=st.lists(st.integers(0, 3), min_size=1, max_size=200))
-@settings(max_examples=150, deadline=None)
-def test_equal_flag_only_on_equal_windows(data):
-    # The flag is set exactly when the last trip's window holds one value.
-    windows = []
-    stats = bcis_sort(list(data), trip_hook=lambda seq, sl, sr: windows.append(seq[sl : sr + 1]))
-    assert stats.terminated_by_equal == (bool(windows) and len(set(windows[-1])) == 1)
-    if len(set(data)) == 1 and len(data) >= 2:
-        assert stats.sort_trips == 1
-        assert stats.comparisons <= 2 * len(data)
-
-
-@given(value=st.integers(), n=st.integers(2, 5000))
-@settings(max_examples=50, deadline=None)
-def test_all_equal_linear(value, n):
-    stats = bcis_sort([value] * n)
-    assert stats.terminated_by_equal
-    assert stats.sort_trips == 1
-    assert stats.comparisons <= 2 * n
