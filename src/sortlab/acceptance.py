@@ -313,26 +313,22 @@ def check_determinism(cache: Cache) -> Verdict:
     return ok, "identical invocations give byte-identical CSV" if ok else "CSV bytes differ"
 
 
-def run_acceptance(skip_timing: bool = False) -> List[CheckResult]:
+def run_acceptance() -> List[CheckResult]:
     """Run every criterion, printing each result line as it completes;
     returns all results in order.
 
-    ``skip_timing`` drops the report-only criteria (the wall-time tables,
-    #11), which cannot fail but take a while.  A criterion that raises,
-    whether its trial fails verification or its arithmetic breaks on a
-    sort that stops counting, is a failed result, and the gate goes on.
+    A criterion that raises, whether its trial fails verification or its
+    arithmetic breaks on a sort that stops counting, is a failed result,
+    and the gate goes on.
     """
     results = []
     cache: Cache = {}
     for check in CRITERIA:
-        if skip_timing and check.report_only:
-            result = CheckResult(check.number, check.name, True, "skipped", report_only=True)
-        else:
-            try:
-                result = check(cache)
-            except Exception as exc:
-                what = "verification failure" if isinstance(exc, VerificationError) else type(exc).__name__
-                result = CheckResult(check.number, check.name, False, f"{what}: {exc}")
+        try:
+            result = check(cache)
+        except Exception as exc:
+            what = "verification failure" if isinstance(exc, VerificationError) else type(exc).__name__
+            result = CheckResult(check.number, check.name, False, f"{what}: {exc}")
         results.append(result)
         print(result.line())
     return results

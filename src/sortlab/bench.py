@@ -287,6 +287,8 @@ def _parse_field(name: str, text: str):
         if text not in ("true", "false"):
             raise ValueError(f"must be true or false, got {text!r}")
         return text == "true"
+    if name == "algo" and text not in ALGORITHMS:
+        raise ValueError(f"must be one of {tuple(ALGORITHMS)}, got {text!r}")
     if name in ("algo", "dist"):
         return text
     value = int(text)

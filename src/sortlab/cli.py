@@ -90,11 +90,6 @@ def build_parser() -> _Parser:
     fit.set_defaults(handler=_cmd_fit)
 
     verify = sub.add_parser("verify", help="run the acceptance suite")
-    verify.add_argument(
-        "--skip-timing",
-        action="store_true",
-        help="skip the informational wall-time tables",
-    )
     verify.set_defaults(handler=_cmd_verify)
     return parser
 
@@ -156,7 +151,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = acceptance.run_acceptance(skip_timing=args.skip_timing)
+    results = acceptance.run_acceptance()
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFICATION
 
 

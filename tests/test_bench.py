@@ -279,6 +279,7 @@ class TestCsv:
             ("n", "\u0666\u0664", "must be a canonical integer, got '\u0666\u0664'$"),
             ("seed", "-0", "must be a canonical integer, got '-0'$"),
             ("comparisons", "007", "must be a canonical integer, got '007'$"),
+            ("algo", "bcsi", r"must be one of \('bcis', 'is', 'qs'\), got 'bcsi'$"),
         ],
     )
     def test_bad_field_names_its_line_and_column(self, column, text, message):

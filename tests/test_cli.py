@@ -301,14 +301,6 @@ def test_criteria_are_registered_once_in_order():
     assert [c.number for c in acceptance.CRITERIA if c.report_only] == [11]
 
 
-def test_skip_timing_reports_the_timing_tables_as_skipped(monkeypatch, capsys):
-    monkeypatch.setattr(acceptance, "CRITERIA", [acceptance.check_timing_report])
-    (result,) = acceptance.run_acceptance(skip_timing=True)
-    assert (result.number, result.report_only, result.detail) == (11, True, "skipped")
-    assert result.line().startswith("INFO  11. ")
-    assert capsys.readouterr().out == result.line() + "\n"
-
-
 def test_verify_reports_a_verification_failure(monkeypatch, capsys):
     monkeypatch.setitem(bench.ALGORITHMS, "bcis", loses_an_item_above(1))
     monkeypatch.setattr(

@@ -7,8 +7,9 @@ from dataclasses import replace
 import pytest
 
 import datagen_reference
-from sortlab import DatasetSpec, DatasetSpecError, bcis_sort, generate
+from sortlab import DatasetSpec, DatasetSpecError, SortStats, bcis_sort, generate
 from sortlab.datagen import KINDS, SAMPLED, VALUE_BOUND, _below, derive_seed, sweep_sizes
+from test_properties import CLOSED_FORMS
 
 
 def _raises(message):
@@ -142,50 +143,25 @@ def test_only_sampled_kinds_read_the_seed(kind):
 
 
 class TestSmallConstructions:
+    # The per-n cases of the closed forms that
+    # test_binary_insertion::test_matches_linear_reference_on_constructions
+    # asserts at every n = 2...99.
     @pytest.mark.parametrize("n", [2, 3, 6, 10, 50, 99])
     @pytest.mark.parametrize("kind", ["best_small", "worst_small"])
     def test_distinct_values_and_sortable(self, kind, n):
-        data = generate(DatasetSpec(kind, n))
-        assert len(set(data)) == n
-        work = list(data)
+        work = generate(DatasetSpec(kind, n))
         bcis_sort(work)
-        assert work == sorted(data)
+        assert work == list(range(1, n + 1))
 
     @pytest.mark.parametrize("n", range(2, 100))
     def test_best_insertions_are_cheap(self, n):
-        # every insertion goes left at constant cost: linear totals, at
-        # every n (gate criterion #6 checks n = 10, 50, 99)
         stats = bcis_sort(generate(DatasetSpec("best_small", n)))
-        assert stats.sort_trips == 1
-        assert stats.comparisons <= 3 * n
-        assert stats.assignments <= 3 * n
+        assert stats == SortStats(*CLOSED_FORMS["best_small"](n))
 
     @pytest.mark.parametrize("n", [10, 50, 99])
     def test_worst_costs_quadratic(self, n):
-        target = n * (n - 1) / 2
         stats = bcis_sort(generate(DatasetSpec("worst_small", n)))
-        assert 0.9 * target <= stats.comparisons <= 1.1 * target
-
-    def test_worst_n6_hand_trace(self):
-        # layout pre-inverted against the first boundary swap: undoing it
-        # must leave max at the right end, second max at the left end and
-        # the rest descending in between
-        data = generate(DatasetSpec("worst_small", 6))
-        mid = 1 + (6 - 1) // 2
-        data[mid - 1], data[5] = data[5], data[mid - 1]
-        v = sorted(data)
-        assert data[5] == v[5]
-        assert data[0] == v[4]
-        assert data[1:5] == [v[3], v[2], v[1], v[0]]
-
-    def test_best_layout_restored_after_boundary_swap(self):
-        data = generate(DatasetSpec("best_small", 9))
-        mid = 1 + (9 - 1) // 2
-        data[mid - 1], data[8] = data[8], data[mid - 1]
-        v = sorted(data)
-        assert data[8] == v[8]
-        assert data[0] == v[7]
-        assert data[1:8] == v[:7]
+        assert stats == SortStats(*CLOSED_FORMS["worst_small"](n))
 
 
 class TestSeedDerivation:

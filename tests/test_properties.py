@@ -4,7 +4,7 @@
 asserts what holds on every input; for ``bcis`` and ``is`` that includes
 equality with the linear-scan kernels of ``linear_reference``.  It runs
 here on random lists and on every tuple over {0, 1, 2} up to length 8, on
-the pinned inputs of ``test_core_sort`` and on the constructions and gate
+the pinned inputs of ``test_core_sort`` and on the fixed inputs and gate
 inputs of ``test_binary_insertion``.  Insertion sort's counters are also
 checked against an exact inversion-count oracle.
 """
@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import linear_reference
-from sortlab import ALGORITHMS, DatasetSpec, generate, insertion_sort
+from sortlab import ALGORITHMS, DatasetSpec, SortStats, generate, insertion_sort
 
 #: The linear-scan kernel each binary-insertion kernel must match.
 REFERENCES = {"bcis": linear_reference.bcis_sort, "is": linear_reference.insertion_sort}
@@ -26,6 +26,23 @@ REFERENCES = {"bcis": linear_reference.bcis_sort, "is": linear_reference.inserti
 lists = st.sampled_from([2, 3, 10, 10**9]).flatmap(
     lambda k: st.lists(st.integers(0, k - 1), max_size=300)
 )
+
+#: BCIS's counters (comparisons, assignments, swaps, sort_trips,
+#: terminated_by_equal) on each fixed input of n >= 2 items.  Each sorts
+#: in one trip whose one swap is the middle exchange.
+CLOSED_FORMS = {
+    # The boundary test, then one equal-scan step per interior item.
+    "equal": lambda n: (n - 1, 3, 1, 1, True),
+    # The boundaries' two tests; each interior item is classified, shifts
+    # the left run's top and stops at the item before, except the first,
+    # which passes the whole run.  Assignments: refill, shift, placement.
+    # At n = 2 the middle exchange alone sorts the pair.
+    "best_small": lambda n: (3 * n - 5, 3 * n - 3, 1, 1, False) if n > 2 else (2, 3, 1, 1, False),
+    # The k-th interior item (k = 0, 1, ...) is classified and shifts
+    # past the whole left run of k + 1 items, with no guard to stop it:
+    # k + 2 comparisons, and k + 3 assignments with refill and placement.
+    "worst_small": lambda n: (n * (n - 1) // 2 + 1, n * (n + 1) // 2, 1, 1, False),
+}
 
 
 def record(sort, data, state=tuple):
@@ -55,8 +72,12 @@ def _check(algo, data, state=tuple):
     n = len(data)
     assert out == sorted(data)
     assert stats.assignments >= 3 * stats.swaps
+    if algo == "qs":
+        assert stats.assignments == 3 * stats.swaps
     if n >= 2:
         assert stats.sort_trips >= 1
+    if algo == "bcis" and n >= 2 and len(set(data)) == 1:
+        assert stats == SortStats(*CLOSED_FORMS["equal"](n))
     if algo in REFERENCES:
         assert record(REFERENCES[algo], data, state) == run
     if state is tuple:
@@ -77,8 +98,6 @@ def _check(algo, data, state=tuple):
             assert len(right) > len(right0) and right[len(right) - len(right0) :] == right0
         # The flag is set exactly when the last window holds one value.
         assert stats.terminated_by_equal == (len(set(window)) == 1)
-        if n >= 2 and len(set(data)) == 1:
-            assert stats.sort_trips == 1 and stats.comparisons <= 2 * n
     return run
 
 
