@@ -13,31 +13,32 @@ from typing import MutableSequence
 from .stats import SortStats
 
 
-def insertion_sort(seq: MutableSequence) -> SortStats:
-    """Classical insertion sort of seq, ascending, in place.
+def insertion_sort(seq: list) -> SortStats:
+    """Classical insertion sort of the list seq, ascending, in place; any
+    other type raises ``TypeError`` before anything is written.
 
-    One sorted run anchored at the left grows by one element per outer
-    iteration.  Shifts count one assignment each; the final placement of
-    the key counts one more.  The counters are those of the linear scan;
-    past the first shift, the stop index is found by binary search and the
-    run moved by one slice assignment.
+    The counters are the linear scan's: a guard and an assignment per shift,
+    the stop guard and the key's placement.  The run grows in a second list
+    of up to n items, where ``list.insert`` shifts in one ``memmove``.
     """
-    comps = 0
-    assigns = 0
+    if not isinstance(seq, list):
+        raise TypeError(f"insertion_sort needs a list, not {type(seq).__name__}")
+    comps = assigns = 0
+    run = seq[:1]
     for i in range(1, len(seq)):
         key = seq[i]
-        j = i - 1
-        if key < seq[j]:
-            seq[i] = seq[j]
-            j -= 1
-            if j >= 0 and key < seq[j]:
-                j = bisect_right(seq, key, 0, j) - 1
-                seq[j + 2:i] = seq[j + 1:i - 1]
-        seq[j + 1] = key
-        # The linear scan's counts: one guard per shift, plus the one that
-        # stopped it unless key went past the whole run.
-        comps += i - 1 - j + (j >= 0)
-        assigns += i - j
+        if key < run[-1]:
+            k = bisect_right(run, key, 0, i - 1)
+            run.insert(k, key)
+            # The linear scan's counts: one guard per shift, plus the one
+            # that stopped it unless key went past the whole run.
+            comps += i - k + (k > 0)
+            assigns += i - k + 1
+        else:
+            run.append(key)
+            comps += 1
+            assigns += 1
+    seq[:] = run
     return SortStats(comps, assigns, 0, max(len(seq) - 1, 0))
 
 

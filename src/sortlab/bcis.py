@@ -17,14 +17,14 @@ counts one classification per interior item of its window, whichever of
 the pre-scan and the sweep makes it.
 
 The insertion counters are those of the paper's linear scan, which shifts
-the run one slot per guard.  The kernel performs the first guard and shift
-as that scan does; when the next guard also holds, it finds the same stop
-index by binary search and moves the run with one slice assignment.  The
-sweep scans with the list's iterator, seeked once per trip, and tests no
-bound: ``seq[sr]``, the right run's minimum, is never below RC, even after
-right insertions, so the scan stops at ``sr`` at the latest.  A right
-insertion refills slot ``i`` with an unscanned item, classified at once,
-so the iterator, standing at ``i + 1``, is never re-seeked.
+the run one slot per guard.  The left run grows in a list, copied back
+after each sweep, where ``list.insert`` shifts in one ``memmove``.  The
+right run shifts in place, since at its open low end an ascending list
+would move the items above the key: past the first shift, ``bisect`` finds
+the stop index and one slice moves the run.  The sweep's list iterator is
+seeked once per trip and tests no bound: ``seq[sr]``, the right run's
+minimum, is never below RC.  A right insertion refills slot ``i`` with an
+unscanned item, classified at once, so the iterator is never re-seeked.
 """
 
 from __future__ import annotations
@@ -109,7 +109,9 @@ def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
             i += steps
 
         lc, rc = seq[sl], seq[sr]
-        # No bound test: seq[sr] >= rc stops the scan at sr at the latest.
+        # The left run's top grows in `left`; seq[base + 1..sl] is stale
+        # until the write-back.  The older run lies below every window item.
+        base, left = sl, [lc]
         it = iter(seq)
         it.__setstate__(i)
         for curr in it:
@@ -125,8 +127,6 @@ def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
                     seq[j - 1] = seq[j]
                     j += 1
                     if j <= last and curr > seq[j]:
-                        # Past the first shift, bisect finds the linear
-                        # scan's stop index; one slice moves the run.
                         j = bisect_left(seq, curr, j + 1, last + 1)
                         seq[sr:j - 1] = seq[sr + 1:j]
                 seq[j - 1] = curr
@@ -139,19 +139,20 @@ def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
             if i >= sr:
                 break
             if curr <= lc:
-                # Mirror image: insert into seq[0..sl], extending it to sl + 1.
                 seq[i] = seq[sl + 1]
-                j = sl
-                if curr < seq[j]:
-                    seq[j + 1] = seq[j]
-                    j -= 1
-                    if j >= 0 and curr < seq[j]:
-                        j = bisect_right(seq, curr, 0, j) - 1
-                        seq[j + 2:sl + 1] = seq[j + 1:sl]
-                seq[j + 1] = curr
-                comps += sl - j + (j >= 0)
-                assigns += sl - j + 2
                 sl += 1
+                if curr < lc:
+                    k = bisect_right(left, curr)
+                    shifts = len(left) - k
+                    left.insert(k, curr)
+                    # Past `left`, the older run stops the scan, if any.
+                    comps += shifts + (k > 0 or base > 0)
+                    assigns += shifts + 2
+                else:
+                    left.append(curr)
+                    comps += 1
+                    assigns += 2
+        seq[base:sl + 1] = left
 
         # LC and RC are now extreme for the shrunken window: retire both.
         sl += 1

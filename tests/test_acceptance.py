@@ -1,8 +1,7 @@
 """Acceptance gate: the criteria that take seconds to minutes, one test each.
 
 These are the slow criteria (``SLOW`` in ``test_gate.py``); the fast ones
-run in ``test_gate.py``, in the fast suite.  Expect about two minutes,
-most of it #7, the 20-seed BCIS scaling sweep.
+run in ``test_gate.py``, in the fast suite.
 """
 
 import re

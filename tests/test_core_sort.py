@@ -11,7 +11,7 @@ from array import array
 
 import pytest
 
-from sortlab import SortStats, bcis_sort, quicksort_mo3
+from sortlab import SortStats, bcis_sort, insertion_sort, quicksort_mo3
 from test_properties import _check, record
 
 _rng = random.Random(2016)
@@ -144,4 +144,14 @@ class TestBcisSort:
         seq = array("i", [3, 1, 2])
         with pytest.raises(TypeError, match="needs a list"):
             bcis_sort(seq)
+        assert seq == array("i", [3, 1, 2])
+
+
+class TestInsertionSort:
+    def test_non_list_rejected_before_any_write(self):
+        # The run grows in a list that is copied back at the end; another
+        # sequence type is refused up front, not after the sort.
+        seq = array("i", [3, 1, 2])
+        with pytest.raises(TypeError, match="needs a list"):
+            insertion_sort(seq)
         assert seq == array("i", [3, 1, 2])
