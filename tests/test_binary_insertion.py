@@ -7,8 +7,8 @@ all five counters and, for BCIS, the ``(sl, sr)`` window and the array
 state as every trip finds them; ``test_properties`` runs it on random
 lists and small tuples, ``test_core_sort`` on the pinned inputs.  Here
 BCIS's counters on the fixed inputs also meet their closed forms, and
-quicksort's on the gate inputs are pinned, as are BCIS's on a shielded
-worst case above the pre-scan span.
+quicksort's on the gate inputs are pinned, as are BCIS's on two inputs
+that cost more than reverse input above the pre-scan span.
 """
 
 from math import isqrt
@@ -110,3 +110,38 @@ def test_shielded_worst_small_counts(n):
         stats = bcis_sort(work)
         assert work == sorted(data)
     assert stats == SortStats(*SHIELDED_COUNTS[n])
+
+
+def nested_extremes(n):
+    """1..n as nested extremes: E(values) = [min] + E(interior) + [max].
+
+    Built from the inside out; at every level, window positions
+    (m - 1)//2 and m - 1 are exchanged, which undoes in advance the
+    kernel's middle exchange.  So every trip finds the window's minimum
+    and maximum as LC and RC, the pre-scan and the sweep move nothing,
+    and the trip retires just those two items.
+    """
+    arr = [(n + 1) // 2] if n % 2 else []
+    for lo in range(n // 2, 0, -1):
+        arr = [lo] + arr + [n + 1 - lo]
+        m = len(arr)
+        arr[(m - 1) // 2], arr[m - 1] = arr[m - 1], arr[(m - 1) // 2]
+    return arr
+
+
+def test_nested_extremes_counts():
+    # A window of m items costs m comparisons: the two boundary tests and
+    # one classification per interior item; its one swap is the middle
+    # exchange.  Summed over m = n, n - 2, ..., that is floor(n(n + 2)/4).
+    for n in [*range(2, 201), 599, 600, 10**3]:
+        data = nested_extremes(n)
+        assert sorted(data) == list(range(1, n + 1))
+        if n <= 100:
+            _, stats, _ = _check("bcis", data)
+        else:
+            # The linear reference would take seconds at these sizes.
+            work = list(data)
+            stats = bcis_sort(work)
+            assert work == sorted(data)
+        h = n // 2
+        assert stats == SortStats(n * (n + 2) // 4, 3 * h, h, h, False), n

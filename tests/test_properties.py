@@ -3,8 +3,9 @@
 ``_check`` sorts a copy of an input with one of the three sorts and
 asserts what holds on every input; for ``bcis`` and ``is`` that includes
 equality with the linear-scan kernels of ``linear_reference``.  It runs
-here on random lists and on every tuple over {0, 1, 2} up to length 8, on
-the pinned inputs of ``test_core_sort`` and on the fixed inputs and gate
+here on random lists, on every tuple over {0, 1, 2} up to length 8 and on
+runs of one value at the ends of the equal scan's slices, on the pinned
+inputs of ``test_core_sort`` and on the fixed inputs and gate
 inputs of ``test_binary_insertion``.  Insertion sort's counters are also
 checked against an exact inversion-count oracle.
 """
@@ -114,6 +115,37 @@ def test_exhaustive_small_alphabet(algo):
     for length in range(9):
         for tup in product((0, 1, 2), repeat=length):
             _check(algo, tup)
+
+
+def _scan_meets(n, k, v):
+    """``[1] * n`` with v where the first trip's equal scan meets it, at
+    index k: the kernel's middle exchange is undone in advance."""
+    data = [1] * n
+    data[k] = v
+    mid = (n - 1) // 2
+    data[mid], data[n - 1] = data[n - 1], data[mid]
+    return data
+
+
+#: Where the equal scan's slices end on a window from sl = 0.  They hold
+#: 16, 32, ..., 4096 items from index 1, so the j-th ends at index
+#: 16 * (2**j - 1): 16, 48, 112, ..., 4080, and the first 4,096-item slice
+#: at 8176; past it, at n = 10**4, the scan goes item by item.
+SLICE_ENDS = [16 * (2**j - 1) for j in range(1, 10)]
+
+
+@pytest.mark.parametrize("v", [0, 2])
+def test_equal_scan_meets_one_differing_item(v):
+    for k in range(1, 299):
+        _check("bcis", _scan_meets(300, k, v))
+    for k in [end + d for end in SLICE_ENDS for d in (-1, 0, 1)]:
+        _check("bcis", _scan_meets(10**4, k, v))
+
+
+@pytest.mark.parametrize("interior", [m + d for m in SLICE_ENDS[:3] for d in (-1, 0, 1)])
+def test_equal_scan_on_one_value(interior):
+    # _check pins the closed form of input of one value.
+    _check("bcis", [1] * (interior + 2))
 
 
 @given(data=lists)
