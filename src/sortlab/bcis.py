@@ -26,9 +26,25 @@ seeked once per trip and tests no bound: ``seq[sr]``, the right run's
 minimum, is never below RC.  A right insertion refills slot ``i`` with an
 unscanned item, classified at once, so the iterator is never re-seeked.
 
+An ascending stretch merges into the right run in one step.  When a right
+insertion of curr finds an ascending stretch ``seq[lo..sr - 1]`` of at
+least 16 items >= RC above slot ``i``, the item loop would insert curr,
+then the stretch from its top down; each of those is at most the item
+before it, so it never passes an earlier one, and the counts are
+arithmetic.  Shifts are the run's items below each of curr and the
+stretch, plus the stretch's items above curr; comparisons add one stopping
+guard per item, except for curr and the stretch's top when they pass the
+whole run; assignments add a refill and a placement per item.  The kernel
+finds the stretch with ``map(gt)`` over two reversed list iterators, then
+sorts it, curr and the run's items below both of them together, and writes
+them over the run: on ``sorted`` input nearly every right insertion goes
+this way.  One merge holds at most ``SLICE_CAP`` items; without that cap a
+sort of ``sorted`` 10**6 merged half a million at once and held about
+8 MB more.
+
 The equal scan, run when a trip's boundaries are equal, gallops: it
 compares slices of 16, 32, ... items against copies of the boundary value,
-at most ``EQUAL_SCAN_CAP`` at a time, then finishes item by item.  Its
+at most ``SLICE_CAP`` at a time, then finishes item by item.  Its
 counters are arithmetic, one comparison per item it passes, so they are
 the item loop's.  A list comparison treats identical objects as equal
 before it calls ``__eq__``; that agrees with ``seq[k] == pivot`` for every
@@ -38,7 +54,9 @@ reflexive ``==``, which a total order implies (NaN is not one).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import compress, count, islice, repeat
 from math import isqrt
+from operator import gt
 from typing import Callable, Optional
 
 from .stats import SortStats
@@ -46,11 +64,55 @@ from .stats import SortStats
 #: Window span at and above which the guarded pre-scan runs.
 PRESCAN_SPAN = 100
 
-#: Longest slice the equal scan compares at once: two such temporaries,
-#: about 64 KB, where a window of 10**6 equal items would need 8 MB.
-EQUAL_SCAN_CAP = 4096
+#: Longest slice the equal scan compares at once, and the most items one
+#: right-run merge sorts: each temporary holds at most 32 KB of references,
+#: where one over 10**6 items would hold 8 MB.
+SLICE_CAP = 4096
 
 TripHook = Callable[[list, int, int], None]
+
+
+def _merge_stretch(seq: list, i: int, sr: int, last: int, curr, rc, top):
+    """Insert curr, then the ascending stretch seq[lo..sr - 1] of items >= RC
+    below the right run seq[sr..last], into the run in one step, as the item
+    loop would one at a time from the stretch's top down; refill slot i
+    from seq[lo - 1].  Return ``(lo, comparisons, assignments)``, or None
+    when no stretch of 16 items fits in one merge of at most SLICE_CAP.
+    """
+    # The run's items below max(top, curr) join the merge; the rest stay.
+    m = bisect_left(seq, max(top, curr), sr, last + 1) - sr
+    room = min(SLICE_CAP - 1 - m, sr - 1 - i)
+    if room < 16:
+        return None
+    # The first descent below sr - 1, looking no lower than slot i + 1.
+    a, b = reversed(seq), reversed(seq)
+    a.__setstate__(sr - 2)
+    b.__setstate__(sr - 1)
+    size = next(compress(count(1), islice(map(gt, a, b), room - 1)), room)
+    lo = bisect_left(seq, rc, sr - size, sr)
+    ns = sr - lo
+    if ns < 16:
+        return None
+    stretch, below = seq[lo:sr], seq[sr:sr + m]
+    # Each item shifts past the run's smaller items, and each of the
+    # stretch's also past a smaller curr; count over the shorter side.
+    if ns <= m:
+        shifts = sum(map(bisect_left, repeat(below), stretch))
+    else:
+        shifts = ns * m - sum(map(bisect_right, repeat(stretch), below))
+    shifts += bisect_left(below, curr) + ns - bisect_right(stretch, curr)
+    # Each later item is at most the one before, so only curr and top can
+    # pass the whole run, where no guard stops the scan.
+    big = seq[last]
+    passes = (curr > big) + (top > curr and top > big)
+    seq[i] = seq[lo - 1]
+    # A stable sort leaves equal keys where the item loop puts them: the
+    # stretch's, then curr, then the run's.
+    stretch.append(curr)
+    stretch += below
+    stretch.sort()
+    seq[lo - 1:sr + m] = stretch
+    return lo, shifts + ns + 1 - passes, shifts + 2 * ns + 2
 
 
 def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
@@ -87,7 +149,7 @@ def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
             k, step = sl + 1, 16
             while sr - k >= step and seq[k:k + step] == [pivot] * step:
                 k += step
-                step = min(2 * step, EQUAL_SCAN_CAP)
+                step = min(2 * step, SLICE_CAP)
             while k < sr and seq[k] == pivot:
                 k += 1
             if k == sr:
@@ -134,9 +196,21 @@ def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
                 continue
             i = last - it.__length_hint__()
             while i < sr and curr >= rc:
+                top = seq[sr - 1]
+                if top >= rc and sr - i > 16 and rc <= seq[sr - 16] <= top:
+                    # seq[sr - 16..sr - 1] may be an ascending stretch >= RC,
+                    # which the item loop would insert next.
+                    merged = _merge_stretch(seq, i, sr, last, curr, rc, top)
+                    if merged:
+                        lo, c, a = merged
+                        comps += c
+                        assigns += a
+                        sr = lo - 1
+                        curr = seq[i]
+                        continue
                 # Insert curr into the right run, refilling slot i from
                 # seq[sr - 1], which is classified next, at this i.
-                seq[i] = seq[sr - 1]
+                seq[i] = top
                 j = sr
                 if curr > seq[j]:
                     seq[j - 1] = seq[j]
@@ -150,7 +224,7 @@ def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
                 comps += j - sr + (j <= last)
                 assigns += j - sr + 2
                 sr -= 1
-                curr = seq[i]
+                curr = top
             if i >= sr:
                 break
             if curr <= lc:

@@ -8,7 +8,8 @@ state as every trip finds them; ``test_properties`` runs it on random
 lists and small tuples, ``test_core_sort`` on the pinned inputs.  Here
 BCIS's counters on the fixed inputs also meet their closed forms, and
 quicksort's on the gate inputs are pinned, as are BCIS's on two inputs
-that cost more than reverse input above the pre-scan span.
+that cost more than reverse input above the pre-scan span, and on
+``sorted`` 10**6.
 """
 
 from math import isqrt
@@ -110,6 +111,15 @@ def test_shielded_worst_small_counts(n):
         stats = bcis_sort(work)
         assert work == sorted(data)
     assert stats == SortStats(*SHIELDED_COUNTS[n])
+
+
+def test_sorted_counts_at_a_million():
+    # sorted 10**6, the benchmark's largest BCIS input: all but a few dozen
+    # right insertions go through the merge of an ascending stretch.  The
+    # linear reference would take seconds at this size.
+    work = generate(DatasetSpec("sorted", 10**6))
+    assert bcis_sort(work) == SortStats(3999866, 2999946, 18, 18, False)
+    assert work == sorted(work)
 
 
 def nested_extremes(n):

@@ -3,13 +3,15 @@
 ``_check`` sorts a copy of an input with one of the three sorts and
 asserts what holds on every input; for ``bcis`` and ``is`` that includes
 equality with the linear-scan kernels of ``linear_reference``.  It runs
-here on random lists, on every tuple over {0, 1, 2} up to length 8 and on
-runs of one value at the ends of the equal scan's slices, on the pinned
+here on random lists, on every tuple over {0, 1, 2} up to length 8, on
+runs of one value at the ends of the equal scan's slices and on ascending
+tails that BCIS merges into its right run, on the pinned
 inputs of ``test_core_sort`` and on the fixed inputs and gate
 inputs of ``test_binary_insertion``.  Insertion sort's counters are also
 checked against an exact inversion-count oracle.
 """
 
+import random
 from itertools import accumulate, product
 
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 import linear_reference
 from sortlab import ALGORITHMS, DatasetSpec, SortStats, generate, insertion_sort
+from sortlab.bcis import SLICE_CAP
 
 #: The linear-scan kernel each binary-insertion kernel must match.
 REFERENCES = {"bcis": linear_reference.bcis_sort, "is": linear_reference.insertion_sort}
@@ -146,6 +149,57 @@ def test_equal_scan_meets_one_differing_item(v):
 def test_equal_scan_on_one_value(interior):
     # _check pins the closed form of input of one value.
     _check("bcis", [1] * (interior + 2))
+
+
+def _head_and_tail(n, keys):
+    """n items ascending, drawn from ``keys`` values (all distinct when
+    keys is None), with a shuffled head before a tail of at least 16, then
+    one transposition anywhere; seeded by n."""
+    rng = random.Random(n)
+    data = list(range(n)) if keys is None else sorted(rng.randrange(keys) for _ in range(n))
+    h = rng.randrange(n - 16)
+    head = data[:h]
+    rng.shuffle(head)
+    data[:h] = head
+    a, b = rng.randrange(n), rng.randrange(n)
+    data[a], data[b] = data[b], data[a]
+    return data
+
+
+@pytest.mark.parametrize("keys", ["sorted", "curr_fits", "distinct", "ties"])
+def test_ascending_tail_merges_into_the_right_run(keys):
+    # An ascending stretch of 16 or more items >= RC below the right run
+    # is merged into it with curr in one step.  On sorted input the first
+    # trip's stretch reaches slot i + 1, where curr, the maximum, was;
+    # with "curr_fits", curr, the odd last item, would fit below that
+    # stretch.  The transposition splits stretches and sends some curr
+    # below the stretch's top; n // 4 values put ties inside the stretch,
+    # with curr and with RC.
+    for n in range(17, 301):
+        if keys == "sorted":
+            data = list(range(n))
+        elif keys == "curr_fits":
+            data = [2 * k for k in range(n - 1)] + [(n - 1) // 2 * 2 + 1]
+        else:
+            data = _head_and_tail(n, None if keys == "distinct" else n // 4)
+        _check("bcis", data)
+
+
+def test_curr_and_stretch_top_both_pass_the_run():
+    # In the first trip RC = 11 is the whole right run, and curr = 16
+    # meets the stretch 17..32 below it; both 16 and the stretch's top,
+    # 32 > 16, pass the whole run, so no guard stops either insertion.
+    data = [2, 8, 6, 7, 9, 4, 5, 0, 1, 10, 3, 16, 12, 13, 14, 15, 11, *range(17, 34)]
+    assert _check("bcis", data)[1].comparisons == 131
+
+
+def test_ascending_tail_longer_than_two_merges():
+    # The first trip's stretch holds about 10**4 items; each merge sorts at
+    # most SLICE_CAP, so it takes three.
+    rng = random.Random(0)
+    head = list(range(100))
+    rng.shuffle(head)
+    _check("bcis", head + list(range(100, 5 * SLICE_CAP)))
 
 
 @given(data=lists)
