@@ -21,7 +21,9 @@ class SortStats:
     swaps
         Three-assignment exchanges.
     sort_trips
-        Outer-loop iterations of the sweeping algorithms.
+        Outer passes: one per BCIS window, n - 1 for insertion sort (one
+        per key after the first), and one per quicksort range of two or
+        more items taken from its stack.
     terminated_by_equal
         Set when the all-equal scan found nothing but copies of the
         boundary value and the sort finished early.

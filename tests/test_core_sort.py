@@ -1,9 +1,10 @@
 """Unit tests for the bidirectional conditional insertion sort.
 
-``PINNED`` drives each step of the sort's loop (the exchanges, the equal
-scan, the two insertions and the guarded pre-scan) through ``bcis_sort``
-on an input that isolates it, and pins its counters and the window of
-every trip; a row's comment, where it has one, derives its counts.
+``PINNED`` drives each step of a sort trip (the opening's exchanges, equal
+scan and guarded pre-scan, and the sweep's two insertions) through
+``bcis_sort`` on an input that isolates it, and pins its counters and the
+window of every trip; a row's comment, where it has one, derives its
+counts.
 """
 
 import random
@@ -16,7 +17,7 @@ from test_properties import _check, record
 
 _rng = random.Random(2016)
 
-#: Named inputs, together covering every step of the loop: their counters
+#: Named inputs, together covering every step of a trip: their counters
 #: (comparisons, assignments, swaps, sort_trips, terminated_by_equal) and
 #: the window (sl, sr) of every trip.  The counts are the product: none
 #: may change.  Comparisons: the boundaries' equality and order tests

@@ -7,7 +7,7 @@ stretch merge.  A path that stops running keeps every counter and only
 slows the sort, so no counter test can see it.  These tests count the
 sort's Python steps instead: the ``line`` events that ``sys.settrace``
 reports in frames of ``sortlab/bcis.py``.  The count is deterministic for
-a given input, and was the same on CPython 3.10 to 3.13.
+a given input and Python version.
 """
 
 import sys
@@ -17,16 +17,16 @@ import pytest
 from sortlab import DatasetSpec, bcis_sort, generate
 
 #: Line events allowed per item on each input, at least twice the count
-#: measured (in the comment): the gallop keeps ``equal`` far below one
-#: event per item, the stretch merge ``sorted``, the list buffer and the
-#: slice shift ``reverse``, and ``k_distinct`` holds runs of keys equal to
-#: LC and RC.
+#: measured on Python 3.11 (in the comment): the gallop keeps ``equal``
+#: far below one event per item, the stretch merge ``sorted``, the list
+#: buffer and the slice shift ``reverse``, and ``k_distinct`` holds runs
+#: of keys equal to LC and RC.
 BUDGETS = [
-    (DatasetSpec("equal", 10**5), 0.1),  # 3,535
-    (DatasetSpec("sorted", 10**5), 7),  # 302,661
-    (DatasetSpec("reverse", 10**4), 40),  # 180,487
-    (DatasetSpec("uniform", 2**12, seed=1), 180),  # 358,312
-    (DatasetSpec("k_distinct", 10**4, seed=1, k_param=50), 100),  # 479,095
+    (DatasetSpec("equal", 10**5), 0.1),  # 3,534
+    (DatasetSpec("sorted", 10**5), 7),  # 302,779
+    (DatasetSpec("reverse", 10**4), 40),  # 180,789
+    (DatasetSpec("uniform", 2**12, seed=1), 180),  # 358,790
+    (DatasetSpec("k_distinct", 10**4, seed=1, k_param=50), 100),  # 479,318
 ]
 
 
