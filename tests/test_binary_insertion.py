@@ -17,11 +17,7 @@ from math import isqrt
 import pytest
 
 from sortlab import DatasetSpec, SortStats, bcis_sort, generate
-from test_properties import CLOSED_FORMS, _check
-
-
-def _digest(seq):
-    return hash(tuple(seq))
+from test_properties import CLOSED_FORMS, _check, digest
 
 
 GATE_INPUTS = [
@@ -57,7 +53,7 @@ DATAGEN_CASES = (
 def test_matches_linear_reference_on_datagen_inputs(algo, spec):
     # A digest per trip, not a copy: copies of these 10**4 and 10**5 item
     # arrays at every trip took the file's peak memory from 53 to 76 MB.
-    _, stats, _ = _check(algo, generate(spec), state=_digest)
+    _, stats, _ = _check(algo, generate(spec), state=digest)
     if algo == "qs":
         assert stats == SortStats(*QS_COUNTS[spec.kind])
 

@@ -7,12 +7,17 @@ here on random lists, on every tuple over {0, 1, 2} up to length 8, on
 runs of one value at the ends of the equal scan's slices and on ascending
 tails that BCIS merges into its right run, on the pinned
 inputs of ``test_core_sort`` and on the fixed inputs and gate
-inputs of ``test_binary_insertion``.  Insertion sort's counters are also
-checked against an exact inversion-count oracle.
+inputs of ``test_binary_insertion``.  BCIS's rank-indexed sweep is checked
+where its trigger fires, and on the small corpora with the trigger forced.
+Insertion sort's counters are also checked against an exact
+inversion-count oracle.
 """
 
 import random
+from collections import Counter
+from contextlib import contextmanager
 from itertools import accumulate, product
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +25,7 @@ from hypothesis import strategies as st
 
 import linear_reference
 from sortlab import ALGORITHMS, DatasetSpec, SortStats, generate, insertion_sort
+from sortlab import bcis
 from sortlab.bcis import SLICE_CAP
 
 #: The linear-scan kernel each binary-insertion kernel must match.
@@ -105,6 +111,34 @@ def _check(algo, data, state=tuple):
     return run
 
 
+def digest(seq):
+    """The array state ``_check`` records per trip of inputs too large to
+    copy at every trip."""
+    return hash(tuple(seq))
+
+
+@contextmanager
+def rank_index(forced=False):
+    """Spy on BCIS's rank index: yield a Counter of its ``builds`` and of
+    the prefix ``ties`` it gives new ranks.  With forced, the trigger's
+    constants are zero, so the index builds on the first trip whose
+    pre-scan sample is distinct (empty below PRESCAN_SPAN)."""
+    seen = Counter()
+
+    class Spy(bcis._RankIndex):
+        def __init__(self, seq, sl, sr):
+            seen["builds"] += 1
+            super().__init__(seq, sl, sr)
+
+        def _settle(self, ties, start):
+            seen["ties"] += sum(r not in range(start, start + len(ties)) for r in ties)
+            super()._settle(ties, start)
+
+    constants = {"INDEX_SPAN": 0, "INDEX_RATE": 0} if forced else {}
+    with mock.patch.multiple(bcis, _RankIndex=Spy, **constants):
+        yield seen
+
+
 @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
 @given(data=lists)
 @settings(max_examples=300, deadline=None)
@@ -118,6 +152,58 @@ def test_exhaustive_small_alphabet(algo):
     for length in range(9):
         for tup in product((0, 1, 2), repeat=length):
             _check(algo, tup)
+
+
+@given(data=lists)
+@settings(max_examples=300, deadline=None)
+def test_forced_rank_index_sorts_and_preserves_multiset(data):
+    with rank_index(forced=True):
+        _check("bcis", data)
+
+
+def test_forced_rank_index_on_small_alphabet():
+    # 9,816 of the 9,841 tuples build the index on their first trip.
+    with rank_index(forced=True) as seen:
+        for length in range(9):
+            for tup in product((0, 1, 2), repeat=length):
+                _check("bcis", tup)
+    assert seen["builds"] > 5000
+
+
+def test_forced_rank_index_on_equal_scans_and_tails():
+    # Lists of a few values meet the equal scan on later trips, whose swap
+    # the index must follow; ascending tails are merged into the right
+    # run, refilling slot i from below the stretch.
+    rng = random.Random(0)
+    with rank_index(forced=True):
+        for _ in range(3000):
+            k = rng.choice([4, 6, 10])
+            _check("bcis", [rng.randrange(k) for _ in range(rng.randrange(2, 100))])
+        for n in range(17, 301):
+            for keys in (None, n // 4):
+                _check("bcis", _head_and_tail(n, keys))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [2**12, 2**13, 2**14])
+def test_rank_index_matches_linear_reference(n, seed):
+    # Each of these inputs builds the index once, on its second trip or
+    # soon after, and sorts the rest of the way with it.
+    with rank_index() as seen:
+        _check("bcis", generate(DatasetSpec("uniform", n, seed=seed)), state=digest)
+    assert seen["builds"] == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rank_index_settles_prefix_ties(seed):
+    # Folded onto 2,048 values, uniform 2**13 keeps a distinct pre-scan
+    # sample often enough to build the index, and later pre-scanned
+    # prefixes hold items equal to LC or RC, which stay in the window and
+    # must take the inner ranks of their value (6 to 11 per input).
+    data = [v % 2048 for v in generate(DatasetSpec("uniform", 2**13, seed=seed))]
+    with rank_index() as seen:
+        _check("bcis", data, state=digest)
+    assert seen["builds"] == 1 and seen["ties"] > 0
 
 
 def _scan_meets(n, k, v):
