@@ -10,9 +10,11 @@ from ``git archive``, the change from this working tree's ``src/``,
 The record holds:
 
 - ``workloads``: ``perfbench/run.py`` on every workload of
-  ``BENCHMARK.json`` at ``--seed``, and on the claimed one also at
-  ``--claim-seed``, in alternating pairs (the parent first in even
-  pairs), with each metric's median, quartiles and the pairs won;
+  ``BENCHMARK.json`` for its ``run_seconds`` at ``SEED``, and on the
+  claimed one also at ``CLAIM_SEED``, in ``PAIRS`` alternating pairs
+  (the parent first in even pairs), with each metric's median, quartiles
+  and the pairs won; a metric is ``unresolved`` when either side's
+  quartile distance exceeds the metric's bound, as a share of its median;
 - ``gate_7``: the call seconds of gate criterion #7 from pytest's
   ``--durations``, in alternating runs of each side;
 - ``step_events``: the ``line`` events in ``bcis.py`` frames of one sort
@@ -22,8 +24,7 @@ The record holds:
   equal; per input the median seconds of each side, the median of the
   per-pair ratios (change over parent) and the pairs the change won.
 
-A full run takes about 45 minutes on a 2-vCPU VM; ``--pairs``,
-``--other-pairs``, ``--seconds`` and ``--gate-runs`` shorten it.
+A full run takes about 70 minutes on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -48,6 +49,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: The workload whose ``wall_s`` the change claims to lower.
 CLAIMED = "uniform-grid"
+
+#: Alternating perfbench pairs per workload and seed.
+PAIRS = 10
+
+#: The perfbench seed of every workload, and a second one for CLAIMED
+#: that was not used while developing.
+SEED, CLAIM_SEED = 0, 17
+
+#: Alternating runs of gate criterion #7 per side.
+GATE_RUNS = 2
 
 #: (kind, n, seeds, pairs per seed): the inputs of the kernel A/B.
 KERNEL_INPUTS = [
@@ -174,13 +185,18 @@ def _side(xs: list) -> dict:
     return out
 
 
-def _summary(parent: list, change: list) -> dict:
-    return {
+def _summary(parent: list, change: list, bound: float) -> dict:
+    out = {
         "parent": _side(parent),
         "change": _side(change),
         "change_lower_in_pairs": sum(y < x for x, y in zip(parent, change)),
         "pairs": len(parent),
     }
+    spreads = [(q[2] - q[0]) / statistics.median(xs)
+               for xs in (parent, change)
+               for q in [statistics.quantiles(xs, n=4, method="inclusive")]]
+    out["unresolved"] = max(spreads) > bound
+    return out
 
 
 def _copy_change(dest: Path) -> None:
@@ -196,14 +212,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--pairs", type=int, default=10, help="perfbench pairs on the claimed workload")
-    parser.add_argument("--other-pairs", type=int, default=5, help="perfbench pairs elsewhere")
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--claim-seed", type=int, default=17,
-                        help="a second seed for the claimed workload, not used while developing")
-    parser.add_argument("--gate-runs", type=int, default=2)
     args = parser.parse_args()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
 
     with tempfile.TemporaryDirectory() as tmp:
         parent, change = Path(tmp) / "parent", Path(tmp) / "change"
@@ -223,26 +235,24 @@ def main() -> None:
         }
         # perfbench runs first: on Linux a child's peak RSS starts from its
         # parent's at the fork, and the kernel A/B below grows this process.
-        workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-        runs = [(w, args.seed) for w in workloads] + [(CLAIMED, args.claim_seed)]
+        runs = [(w["name"], SEED) for w in benchmark["workloads"]] + [(CLAIMED, CLAIM_SEED)]
         record["workloads"] = {}
         for workload, seed in runs:
-            pairs = args.pairs if workload == CLAIMED else args.other_pairs
             results = {"parent": [], "change": []}
-            for p in range(pairs):
+            for p in range(PAIRS):
                 for name in (("parent", "change") if p % 2 == 0 else ("change", "parent")):
-                    results[name].append(perfbench(sides[name], workload, seed, args.seconds))
-            entry = {"seconds": args.seconds,
+                    results[name].append(perfbench(sides[name], workload, seed, seconds))
+            entry = {"seconds": seconds,
                      "failed": {k: sum(r["failed"] for r in v) for k, v in results.items()},
                      "attempted": {k: sum(r["attempted"] for r in v) for k, v in results.items()}}
-            for metric in ("wall_s", "setup_s", "peak_rss_mb"):
+            for metric, bound in bounds.items():
                 entry[metric] = _summary([r[metric] for r in results["parent"]],
-                                         [r[metric] for r in results["change"]])
+                                         [r[metric] for r in results["change"]], bound)
             record["workloads"].setdefault(workload, {})[f"seed {seed}"] = entry
             print(workload, seed, json.dumps(entry), flush=True)
 
         runs = {"parent": [], "change": []}
-        for r in range(args.gate_runs):
+        for r in range(GATE_RUNS):
             for name in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
                 runs[name].append(gate_7(sides[name]))
         record["gate_7"] = {"call_s": runs}
