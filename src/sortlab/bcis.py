@@ -60,11 +60,21 @@ def _merge_stretch(seq: list, i: int, sr: int, last: int, curr, rc, top):
     room = min(SLICE_CAP - 1 - m, sr - 1 - i)
     if room < 16:
         return None
-    # The first descent below sr - 1, looking no lower than slot i + 1.
-    a, b = reversed(seq), reversed(seq)
-    a.__setstate__(sr - 2)
-    b.__setstate__(sr - 1)
-    size = next(compress(count(1), islice(map(gt, a, b), room - 1)), room)
+    # The first descent below sr - 1, looking no lower than slot i + 1:
+    # gallop down over blocks of 16, 32, ... items that are ascending, each
+    # with the stretch's lowest item, then search the first that is not.
+    size, step = 1, 16
+    while size < room:
+        step = min(step, room - size)
+        block = seq[sr - size - step:sr - size + 1]
+        if block != sorted(block):
+            a, b = reversed(seq), reversed(seq)
+            a.__setstate__(sr - size - 1)
+            b.__setstate__(sr - size)
+            size += next(compress(count(), map(gt, a, b)))
+            break
+        size += step
+        step *= 2
     lo = bisect_left(seq, rc, sr - size, sr)
     ns = sr - lo
     if ns < 16:
@@ -108,10 +118,11 @@ def _open_trip(seq: list, sl: int, sr: int):
         # Swap the first item differing from the equal boundaries to
         # sl; if there is none, the window is one value.
         pivot = seq[sl]
-        k, step = sl + 1, 16
-        while sr - k >= step and seq[k:k + step] == [pivot] * step:
-            k += step
-            step = min(2 * step, SLICE_CAP)
+        k, same = sl + 1, [pivot] * 16
+        while sr - k >= len(same) and seq[k:k + len(same)] == same:
+            k += len(same)
+            if len(same) < SLICE_CAP:
+                same += same
         while k < sr and seq[k] == pivot:
             k += 1
         if k == sr:
@@ -158,7 +169,9 @@ def _sweep(seq: list, sl: int, sr: int, i: int):
     lc, rc = seq[sl], seq[sr]
     # The left run's top grows in `left`; seq[base + 1..sl] is stale
     # until the write-back.  The older run lies below every window item.
-    base, left = sl, [lc]
+    # Items that each land just below the one before wait, descending, in
+    # `run` for one splice at slot pk of `left`, where they all belong.
+    base, left, run, pk = sl, [lc], [], -1
     it = iter(seq)
     it.__setstate__(i)
     for curr in it:
@@ -202,8 +215,17 @@ def _sweep(seq: list, sl: int, sr: int, i: int):
             sl += 1
             if curr < lc:
                 k = bisect_right(left, curr)
-                shifts = len(left) - k
-                left.insert(k, curr)
+                if k == pk and (not run or curr < run[-1]):
+                    shifts = len(left) - k + len(run)
+                    run.append(curr)
+                else:
+                    if run:
+                        left[pk:pk] = run[::-1]
+                        run = []
+                        k = bisect_right(left, curr)
+                    shifts = len(left) - k
+                    left.insert(k, curr)
+                    pk = k
                 # Past `left`, the older run stops the scan, if any.
                 comps += shifts + (k > 0 or base > 0)
                 assigns += shifts + 2
@@ -211,6 +233,7 @@ def _sweep(seq: list, sl: int, sr: int, i: int):
                 left.append(curr)
                 comps += 1
                 assigns += 2
+    left[pk:pk] = run[::-1]
     seq[base:sl + 1] = left
     # LC and RC are now extreme for the shrunken window: retire both.
     return sl + 1, sr - 1, comps, assigns
@@ -316,6 +339,8 @@ class _RankIndex:
                 rank[i - off] = r
                 order[r] = i
                 if curr < lc:
+                    # No falling runs here: inputs with many retire at
+                    # least half of each window, so the index never builds.
                     k = bisect_right(left, curr)
                     shifts = len(left) - k
                     left.insert(k, curr)

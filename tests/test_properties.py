@@ -4,8 +4,9 @@
 asserts what holds on every input; for ``bcis`` and ``is`` that includes
 equality with the linear-scan kernels of ``linear_reference``.  It runs
 here on random lists, on every tuple over {0, 1, 2} up to length 8, on
-runs of one value at the ends of the equal scan's slices and on ascending
-tails that BCIS merges into its right run, on the pinned
+runs of one value at the ends of the equal scan's slices, on ascending
+tails and stretches that BCIS merges into its right run, on falling
+sequences that its left insertions splice in one step, on the pinned
 inputs of ``test_core_sort`` and on the fixed inputs and gate
 inputs of ``test_binary_insertion``.  BCIS's rank-indexed sweep is checked
 where its trigger fires, and on the small corpora with the trigger forced.
@@ -222,12 +223,16 @@ def _scan_meets(n, k, v):
 #: at 8176; past it, at n = 10**4, the scan goes item by item.
 SLICE_ENDS = [16 * (2**j - 1) for j in range(1, 10)]
 
+#: 16 * 2**j items past index 1: where a slice of the length of the one
+#: before, or of its doubled pattern, would end.
+PATTERN_ENDS = [1 + 16 * 2**j for j in range(10)]
+
 
 @pytest.mark.parametrize("v", [0, 2])
 def test_equal_scan_meets_one_differing_item(v):
     for k in range(1, 299):
         _check("bcis", _scan_meets(300, k, v))
-    for k in [end + d for end in SLICE_ENDS for d in (-1, 0, 1)]:
+    for k in sorted({end + d for end in SLICE_ENDS + PATTERN_ENDS for d in (-1, 0, 1)}):
         _check("bcis", _scan_meets(10**4, k, v))
 
 
@@ -269,6 +274,56 @@ def test_ascending_tail_merges_into_the_right_run(keys):
         else:
             data = _head_and_tail(n, None if keys == "distinct" else n // 4)
         _check("bcis", data)
+
+
+def _stretch_above_rc(s):
+    """A sorted head, a peak, then s + 1 ascending items above the head.
+    The middle exchange takes the last of them into the head, so the first
+    trip's first merge meets the other s as an ascending stretch >= RC,
+    bounded below by the peak."""
+    h = s + 20
+    return [*range(h), h + s + 1, *range(h, h + s + 1)]
+
+
+#: Stretch lengths around powers of two, around the ends of the merge's
+#: gallop blocks, 1 + 16 + 32 + ... items from the top, and around the
+#: first trip's cap of one merge, SLICE_CAP - 2 items.
+STRETCHES = sorted({e + d for e in [*(2**j for j in range(4, 13)),
+                                    *(16 * (2**j - 1) + 1 for j in range(1, 9)),
+                                    SLICE_CAP - 2]
+                    for d in (-1, 0, 1)})
+
+
+def test_stretch_lengths_at_gallop_block_ends():
+    for s in STRETCHES:
+        _check("bcis", _stretch_above_rc(s))
+
+
+def _falling(n, seed):
+    """2n, 2n - 2, ..., 2 with a tenth of its items replaced, seeded: by
+    the item before (a tie with the left insertions' falling run), by a
+    rise of up to 60, or by the first trip's LC, the middle item."""
+    rng = random.Random(seed)
+    data = list(range(2 * n, 0, -2))
+    lc = data[(n - 1) // 2]
+    for j in rng.sample(range(1, n), n // 10):
+        r = rng.random()
+        if r < 0.3:
+            data[j] = data[j - 1]
+        elif r < 0.6:
+            data[j] += rng.randrange(1, 60)
+        else:
+            data[j] = lc
+    return data
+
+
+@pytest.mark.parametrize("n", [100, 178, 316, 562, 1000, 1778, 3000])
+def test_falling_runs_broken_by_rises_ties_and_lc(n):
+    # Left insertions that each land just below the one before wait in a
+    # pending run; a rise, a tie with the run's last item or any other
+    # slot splices it in, and items equal to LC are appended meanwhile.
+    for seed in range(3):
+        _check("bcis", _falling(n, seed))
 
 
 def test_curr_and_stretch_top_both_pass_the_run():

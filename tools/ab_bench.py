@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/ab_bench.py --parent 81693f0 --out BENCH_27.json
+    python3 tools/ab_bench.py --parent 84a9b76 --out BENCH_28.json
 
 Both sides run from fresh copies in a temporary directory: the parent
 from ``git archive``, the change from this working tree's ``src/``,
@@ -48,7 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 #: The workload whose ``wall_s`` the change claims to lower.
-CLAIMED = "uniform-grid"
+CLAIMED = "gate-subset"
 
 #: Alternating perfbench pairs per workload and seed.
 PAIRS = 10
@@ -68,8 +68,12 @@ KERNEL_INPUTS = [
     ("uniform", 2**17, (0, 1), 3),
     ("k_distinct", 10**5, (0, 1), 7),
     ("k_distinct", 10**6, (0,), 5),
+    ("sorted", 10**4, (0,), 11),
+    ("sorted", 10**5, (0,), 11),
     ("sorted", 10**6, (0,), 7),
+    ("equal", 10**5, (0,), 11),
     ("equal", 10**6, (0,), 11),
+    ("reverse", 10**3, (0,), 11),
     ("reverse", 10**4, (0,), 11),
 ]
 
