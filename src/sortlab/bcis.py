@@ -6,7 +6,8 @@ its boundary items LC and RC as comparators, then sweeps it once
 (``_sweep``), moving items <= LC into the left run and items >= RC into
 the right run; items strictly between them wait for a later trip.  On wide
 windows of many distinct values a rank index of the window
-(``_RankIndex``) lets the sweep visit only the items it moves.
+(``_RankIndex``) names the slots of the items each trip moves, and the
+same sweep visits only those.
 Elements may be any values with a consistent total order; the sort is in
 place and not stable.  The counters are those of the paper's linear scan,
 reached by faster paths: README's "Counting convention" states them and
@@ -158,11 +159,13 @@ def _open_trip(seq: list, sl: int, sr: int):
     return i, k, comps, swaps
 
 
-def _sweep(seq: list, sl: int, sr: int, i: int):
+def _sweep(seq: list, sl: int, sr: int, i: int, index: Optional[_RankIndex] = None):
     """Sweep the window seq[i..sr - 1] once against LC = seq[sl] and
     RC = seq[sr], inserting items <= LC into the left run and items >= RC
-    into the right run, then retire both boundaries.  Return
-    ``(sl, sr, comparisons, assignments)`` with the next trip's window.
+    into the right run, then retire both boundaries.  With a rank
+    ``index``, visit only the slots of those items, not the items passed.
+    Return ``(sl, sr, comparisons, assignments)`` with the next trip's
+    window.
     """
     comps = assigns = 0
     last = len(seq) - 1
@@ -172,12 +175,25 @@ def _sweep(seq: list, sl: int, sr: int, i: int):
     # Items that each land just below the one before wait, descending, in
     # `run` for one splice at slot pk of `left`, where they all belong.
     base, left, run, pk = sl, [lc], [], -1
-    it = iter(seq)
-    it.__setstate__(i)
+    if index is None:
+        # Step through every item from slot i, passing those strictly
+        # between LC and RC.
+        past_lo, past_hi = lc, rc
+        it = iter(seq)
+        it.__setstate__(i)
+    else:
+        # Step through the slots the index names; none lies above last,
+        # so none is passed.
+        past_lo = past_hi = last
+        it = index.out_slots(seq, sl, sr, i)
+        order, rank, off = index.order, index.rank, index.off
     for curr in it:
-        if lc < curr < rc:
+        if past_lo < curr < past_hi:
             continue
-        i = last - it.__length_hint__()
+        if index is None:
+            i = last - it.__length_hint__()
+        else:
+            i, curr = curr, seq[curr]
         while i < sr and curr >= rc:
             top = seq[sr - 1]
             if top >= rc and sr - i > 16 and rc <= seq[sr - 16] <= top:
@@ -211,8 +227,8 @@ def _sweep(seq: list, sl: int, sr: int, i: int):
         if i >= sr:
             break
         if curr <= lc:
-            seq[i] = seq[sl + 1]
             sl += 1
+            seq[i] = seq[sl]
             if curr < lc:
                 k = bisect_right(left, curr)
                 if k == pk and (not run or curr < run[-1]):
@@ -233,8 +249,16 @@ def _sweep(seq: list, sl: int, sr: int, i: int):
                 left.append(curr)
                 comps += 1
                 assigns += 2
+        if index is not None:
+            # Slot i now holds the item from slot sl if curr went left,
+            # else the one from slot sr; the items it held before retired.
+            r = rank[(sl if curr <= lc else sr) - off]
+            rank[i - off] = r
+            order[r] = i
     left[pk:pk] = run[::-1]
     seq[base:sl + 1] = left
+    if index is not None:
+        index.settle()
     # LC and RC are now extreme for the shrunken window: retire both.
     return sl + 1, sr - 1, comps, assigns
 
@@ -274,102 +298,46 @@ class _RankIndex:
             rank[p - off] = r
             order[r] = p
 
-    def sweep(self, seq: list, sl: int, sr: int, i: int):
-        """``_sweep``, visiting only the slots of the window's items <= LC
-        or >= RC, low to high, and not the items it passes."""
-        comps = assigns = 0
-        last = len(seq) - 1
-        lc, rc = seq[sl], seq[sr]
+    def out_slots(self, seq: list, sl: int, sr: int, i: int) -> list:
+        """Return the slots from i up of the window's items <= LC = seq[sl]
+        or >= RC = seq[sr], ascending, and narrow the window's ranks to the
+        next trip's.
+
+        Slots above i leave the window only from the top, as sr falls, so
+        the first of these slots at or above sr, RC's own at the latest,
+        ends the sweep, as the plain sweep ends at sr.
+        """
         order, rank, off = self.order, self.rank, self.off
         # The window's items <= LC hold the ranks lo..a - 1, those >= RC
         # the ranks b..hi.
-        a = bisect_right(self.vals, lc, self.lo, self.hi + 1)
-        b = bisect_left(self.vals, rc, a, self.hi + 1)
-        # The pre-scanned items that tie with LC or RC stay in the window.
+        a = bisect_right(self.vals, seq[sl], self.lo, self.hi + 1)
+        b = bisect_left(self.vals, seq[sr], a, self.hi + 1)
+        outs = sorted(order[self.lo:a] + order[b:self.hi + 1])
+        del outs[:bisect_left(outs, i)]
+        # The pre-scanned items that tie with LC or RC stay in the window,
+        # which then holds the ranks a..b - 1 and theirs: ``settle`` gives
+        # them the inner ranks of their value, next to that block.
         pre = sorted(rank[sl + 1 - off:i - off])
         ties_l = pre[:bisect_left(pre, a)]
         ties_r = pre[bisect_left(pre, b):]
-        # Their slots from i up, low to high: LC's and the prefix's lie below.
-        outs = sorted(order[self.lo:a] + order[b:self.hi + 1])
-        del outs[:bisect_left(outs, i)]
-        base, left = sl, [lc]
-        # The insertions are ``_sweep``'s, and each refill of slot i moves
-        # its item's map entries along.  Slots above i leave the window
-        # only from the top, as sr falls, so the first visited slot at or
-        # above sr, RC's own at the latest, ends the sweep, as i == sr
-        # ends ``_sweep``.
-        for i in outs:
-            curr = seq[i]
-            while i < sr and curr >= rc:
-                top = seq[sr - 1]
-                if top >= rc and sr - i > 16 and rc <= seq[sr - 16] <= top:
-                    merged = _merge_stretch(seq, i, sr, last, curr, rc, top)
-                    if merged:
-                        lo, c, m = merged
-                        comps += c
-                        assigns += m
-                        sr = lo - 1
-                        r = rank[sr - off]
-                        rank[i - off] = r
-                        order[r] = i
-                        curr = seq[i]
-                        continue
-                seq[i] = top
-                j = sr
-                if curr > seq[j]:
-                    seq[j - 1] = seq[j]
-                    j += 1
-                    if j <= last and curr > seq[j]:
-                        j = bisect_left(seq, curr, j + 1, last + 1)
-                        seq[sr:j - 1] = seq[sr + 1:j]
-                seq[j - 1] = curr
-                comps += j - sr + (j <= last)
-                assigns += j - sr + 2
-                sr -= 1
-                r = rank[sr - off]
-                rank[i - off] = r
-                order[r] = i
-                curr = top
-            if i >= sr:
-                break
-            if curr <= lc:
-                sl += 1
-                seq[i] = seq[sl]
-                r = rank[sl - off]
-                rank[i - off] = r
-                order[r] = i
-                if curr < lc:
-                    # No falling runs here: inputs with many retire at
-                    # least half of each window, so the index never builds.
-                    k = bisect_right(left, curr)
-                    shifts = len(left) - k
-                    left.insert(k, curr)
-                    comps += shifts + (k > 0 or base > 0)
-                    assigns += shifts + 2
-                else:
-                    left.append(curr)
-                    comps += 1
-                    assigns += 2
-        seq[base:sl + 1] = left
-        # The next window holds the ranks a..b - 1 and the prefix ties;
-        # give those the inner ranks of their value, next to that block.
         self.lo = a - len(ties_l)
         self.hi = b + len(ties_r) - 1
-        self._settle(ties_l, self.lo)
-        self._settle(ties_r, b)
-        return sl + 1, sr - 1, comps, assigns
+        self.ties = [(ties_l, self.lo), (ties_r, b)]
+        return outs
 
-    def _settle(self, ties: list, start: int) -> None:
-        """Move the window items of ranks ``ties``, all of one value, onto
-        the ranks start, start + 1, ..., which retired items of that value
-        give up."""
+    def settle(self) -> None:
+        """After the sweep, move the window items of the ranks ``ties``,
+        all of one value, onto the ranks start, start + 1, ..., which
+        retired items of that value give up, for each ``(ties, start)``
+        that ``out_slots`` noted."""
         order, rank, off = self.order, self.rank, self.off
-        targets = range(start, start + len(ties))
-        free = [t for t in targets if t not in ties]
-        for r, t in zip([r for r in ties if r not in targets], free):
-            p = order[r]
-            order[t] = p
-            rank[p - off] = t
+        for ties, start in self.ties:
+            targets = range(start, start + len(ties))
+            free = [t for t in targets if t not in ties]
+            for r, t in zip([r for r in ties if r not in targets], free):
+                p = order[r]
+                order[t] = p
+                rank[p - off] = t
 
 
 def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
@@ -387,7 +355,7 @@ def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
     comps = assigns = swaps = trips = 0
     sl, sr = 0, len(seq) - 1
     # The first trip counts as following one that retired everything.
-    index, sweep, width, retired = None, _sweep, len(seq), len(seq)
+    index, width, retired = None, len(seq), len(seq)
     while sl < sr:
         trips += 1
         if trip_hook is not None:
@@ -403,9 +371,8 @@ def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
             sample = sorted(seq[sl + 1:i])
             if all(map(lt, sample, islice(sample, 1, None))):
                 index = _RankIndex(seq, sl, sr)
-                sweep = index.sweep
         width = sr - sl + 1
-        sl, sr, c, a = sweep(seq, sl, sr, i)
+        sl, sr, c, a = _sweep(seq, sl, sr, i, index)
         comps += c
         assigns += a
         retired = width - (sr - sl + 1)

@@ -131,9 +131,10 @@ def rank_index(forced=False):
             seen["builds"] += 1
             super().__init__(seq, sl, sr)
 
-        def _settle(self, ties, start):
-            seen["ties"] += sum(r not in range(start, start + len(ties)) for r in ties)
-            super()._settle(ties, start)
+        def settle(self):
+            seen["ties"] += sum(r not in range(start, start + len(ties))
+                                for ties, start in self.ties for r in ties)
+            super().settle()
 
     constants = {"INDEX_SPAN": 0, "INDEX_RATE": 0} if forced else {}
     with mock.patch.multiple(bcis, _RankIndex=Spy, **constants):
@@ -324,6 +325,12 @@ def test_falling_runs_broken_by_rises_ties_and_lc(n):
     # slot splices it in, and items equal to LC are appended meanwhile.
     for seed in range(3):
         _check("bcis", _falling(n, seed))
+    # Their ties keep the trigger from firing; forced, the rank index
+    # visits the falling runs' slots and moves its map entries per slot.
+    with rank_index(forced=True) as seen:
+        for seed in range(3):
+            _check("bcis", _falling(n, seed))
+    assert seen["builds"] > 0
 
 
 def test_curr_and_stretch_top_both_pass_the_run():

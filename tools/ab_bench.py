@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/ab_bench.py --parent 84a9b76 --out BENCH_28.json
+    python3 tools/ab_bench.py --parent 01603e0 --out BENCH_29.json
 
 Both sides run from fresh copies in a temporary directory: the parent
 from ``git archive``, the change from this working tree's ``src/``,
@@ -47,8 +47,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: The workload whose ``wall_s`` the change claims to lower.
-CLAIMED = "gate-subset"
+#: The workload whose ``wall_s`` the change claims to lower, or, for a
+#: change that claims no gain, the one it touches most.
+CLAIMED = "uniform-grid"
 
 #: Alternating perfbench pairs per workload and seed.
 PAIRS = 10
@@ -77,7 +78,8 @@ KERNEL_INPUTS = [
     ("reverse", 10**4, (0,), 11),
 ]
 
-#: The inputs of ``tests/test_step_budget.py``'s measure.
+#: The generated inputs of ``tests/test_step_budget.py``'s measure;
+#: ``step_events`` adds its zeros before ones.
 STEP_INPUTS = [
     ("equal", 10**5, 0),
     ("sorted", 10**5, 0),
@@ -153,6 +155,7 @@ def step_events(tree: Path) -> dict:
         "for kind, n, seed in inputs:\n"
         "    k = {'k_param': 50} if kind == 'k_distinct' else {}\n"
         "    out[f'{kind}-{n}'] = line_events(generate(DatasetSpec(kind, n, seed=seed, **k)))\n"
+        "out['zeros-ones-10000'] = line_events([0] * 5000 + [1] * 5000)\n"
         "print(json.dumps(out))\n"
     )
     env = {**os.environ, "PYTHONPATH": f"{tree / 'src'}{os.pathsep}{tree / 'tests'}"}
