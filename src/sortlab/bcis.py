@@ -6,8 +6,10 @@ its boundary items LC and RC as comparators, then sweeps it once
 (``_sweep``), moving items <= LC into the left run and items >= RC into
 the right run; items strictly between them wait for a later trip.  On wide
 windows of many distinct values a rank index of the window
-(``_RankIndex``) names the slots of the items each trip moves, and the
-same sweep visits only those.
+(``_RankIndex``, ranks kept by position) is opened once per trip: it
+follows the trip's opening, settles the pre-scanned items that tie with
+LC or RC, and names the slots of the items the trip moves, which the same
+sweep then visits alone.
 Elements may be any values with a consistent total order; the sort is in
 place and not stable.  The counters are those of the paper's linear scan,
 reached by faster paths: README's "Counting convention" states them and
@@ -159,11 +161,12 @@ def _open_trip(seq: list, sl: int, sr: int):
     return i, k, comps, swaps
 
 
-def _sweep(seq: list, sl: int, sr: int, i: int, index: Optional[_RankIndex] = None):
+def _sweep(seq: list, sl: int, sr: int, i: int, k: int, index: Optional[_RankIndex] = None):
     """Sweep the window seq[i..sr - 1] once against LC = seq[sl] and
     RC = seq[sr], inserting items <= LC into the left run and items >= RC
     into the right run, then retire both boundaries.  With a rank
-    ``index``, visit only the slots of those items, not the items passed.
+    ``index``, which follows the trip's opening (k is the equal scan's
+    slot), visit only the slots of those items, not the items passed.
     Return ``(sl, sr, comparisons, assignments)`` with the next trip's
     window.
     """
@@ -185,8 +188,8 @@ def _sweep(seq: list, sl: int, sr: int, i: int, index: Optional[_RankIndex] = No
         # Step through the slots the index names; none lies above last,
         # so none is passed.
         past_lo = past_hi = last
-        it = index.out_slots(seq, sl, sr, i)
-        order, rank, off = index.order, index.rank, index.off
+        it = index.open(seq, sl, sr, i, k)
+        order, rank = index.order, index.rank
     for curr in it:
         if past_lo < curr < past_hi:
             continue
@@ -252,92 +255,80 @@ def _sweep(seq: list, sl: int, sr: int, i: int, index: Optional[_RankIndex] = No
         if index is not None:
             # Slot i now holds the item from slot sl if curr went left,
             # else the one from slot sr; the items it held before retired.
-            r = rank[(sl if curr <= lc else sr) - off]
-            rank[i - off] = r
+            r = rank[sl if curr <= lc else sr]
+            rank[i] = r
             order[r] = i
     left[pk:pk] = run[::-1]
     seq[base:sl + 1] = left
-    if index is not None:
-        index.settle()
     # LC and RC are now extreme for the shrunken window: retire both.
     return sl + 1, sr - 1, comps, assigns
 
 
 class _RankIndex:
     """The window of a sort indexed in one sorted order of its values:
-    ``order`` maps rank to position, ``rank`` maps position - ``off`` to
-    rank, and ``vals`` rank to value.  The window's items hold the ranks
+    ``order`` maps rank to position, ``rank`` position to rank, and
+    ``vals`` rank to value.  The window's items hold the ranks
     ``lo..hi``; the entries of retired items are stale and never read.
     """
 
     def __init__(self, seq: list, sl: int, sr: int):
-        self.off, self.lo, self.hi = sl, 0, sr - sl
+        self.lo, self.hi = 0, sr - sl
         # Positions and ranks share one int object per value: a third of
         # the index's memory.
         ints = list(range(sr + 1))
         self.order = order = sorted(ints[sl:], key=seq.__getitem__)
         self.vals = list(map(seq.__getitem__, order))
-        self.rank = rank = [0] * (sr - sl + 1)
+        self.rank = rank = [0] * (sr + 1)
         for r, p in zip(ints, order):
-            rank[p - sl] = r
+            rank[p] = r
 
-    def reopen(self, seq: list, sl: int, sr: int, i: int, k: int) -> None:
-        """Re-rank the items that the trip's opening moved among the slots
-        sl, sr, the middle, the equal scan's k and the pre-scanned prefix.
-        """
-        order, rank, off = self.order, self.rank, self.off
-        # A prefix slot whose item is still the object ``vals`` holds for
-        # its rank keeps a valid rank: nothing moved it, or an item of the
-        # same value took its place.
-        moved = {sl, sr, sl + (sr - sl) // 2, k}
-        moved.update(compress(range(sl + 1, i), map(
-            is_not, seq[sl + 1:i], map(self.vals.__getitem__, rank[sl + 1 - off:i - off]))))
-        ranks = sorted([rank[p - off] for p in moved])
-        # Items of one value are interchangeable, so any ties fit.
-        for p, r in zip(sorted(moved, key=seq.__getitem__), ranks):
-            rank[p - off] = r
-            order[r] = p
-
-    def out_slots(self, seq: list, sl: int, sr: int, i: int) -> list:
-        """Return the slots from i up of the window's items <= LC = seq[sl]
-        or >= RC = seq[sr], ascending, and narrow the window's ranks to the
-        next trip's.
+    def open(self, seq: list, sl: int, sr: int, i: int, k: int) -> list:
+        """Follow the opening of the trip over seq[sl..sr], whose sweep
+        starts at slot i, and narrow the window's ranks to the next trip's.
+        Return the slots from i up of the window's items <= LC = seq[sl]
+        or >= RC = seq[sr], ascending.
 
         Slots above i leave the window only from the top, as sr falls, so
         the first of these slots at or above sr, RC's own at the latest,
         ends the sweep, as the plain sweep ends at sr.
         """
-        order, rank, off = self.order, self.rank, self.off
+        order, rank, vals = self.order, self.rank, self.vals
+        # Re-rank the items the opening moved among the slots sl, sr, the
+        # middle, the equal scan's k and the pre-scanned prefix.  A prefix
+        # slot whose item is still the object ``vals`` holds for its rank
+        # keeps a valid rank: nothing moved it, or an item of the same
+        # value took its place.
+        moved = {sl, sr, sl + (sr - sl) // 2, k}
+        moved.update(compress(range(sl + 1, i), map(
+            is_not, seq[sl + 1:i], map(vals.__getitem__, rank[sl + 1:i]))))
+        ranks = sorted([rank[p] for p in moved])
+        # Items of one value are interchangeable, so any ties fit.
+        for p, r in zip(sorted(moved, key=seq.__getitem__), ranks):
+            rank[p] = r
+            order[r] = p
         # The window's items <= LC hold the ranks lo..a - 1, those >= RC
         # the ranks b..hi.
-        a = bisect_right(self.vals, seq[sl], self.lo, self.hi + 1)
-        b = bisect_left(self.vals, seq[sr], a, self.hi + 1)
-        outs = sorted(order[self.lo:a] + order[b:self.hi + 1])
-        del outs[:bisect_left(outs, i)]
+        lo, hi = self.lo, self.hi
+        a = bisect_right(vals, seq[sl], lo, hi + 1)
+        b = bisect_left(vals, seq[sr], a, hi + 1)
         # The pre-scanned items that tie with LC or RC stay in the window,
-        # which then holds the ranks a..b - 1 and theirs: ``settle`` gives
-        # them the inner ranks of their value, next to that block.
-        pre = sorted(rank[sl + 1 - off:i - off])
-        ties_l = pre[:bisect_left(pre, a)]
-        ties_r = pre[bisect_left(pre, b):]
-        self.lo = a - len(ties_l)
-        self.hi = b + len(ties_r) - 1
-        self.ties = [(ties_l, self.lo), (ties_r, b)]
-        return outs
-
-    def settle(self) -> None:
-        """After the sweep, move the window items of the ranks ``ties``,
-        all of one value, onto the ranks start, start + 1, ..., which
-        retired items of that value give up, for each ``(ties, start)``
-        that ``out_slots`` noted."""
-        order, rank, off = self.order, self.rank, self.off
-        for ties, start in self.ties:
-            targets = range(start, start + len(ties))
-            free = [t for t in targets if t not in ties]
-            for r, t in zip([r for r in ties if r not in targets], free):
+        # which then holds the ranks a..b - 1 and theirs: give them the
+        # inner ranks of their value, next to that block, before the sweep
+        # moves them.  Each trades ranks with the item of its value that
+        # holds one: LC, RC or an item this trip visits, whose ``rank``
+        # entry is rewritten at the visit or retires unread.
+        pre = sorted(rank[sl + 1:i])
+        x, y = bisect_left(pre, a), bisect_left(pre, b)
+        self.lo, self.hi = a - x, b + len(pre) - y - 1
+        for ties, start in (pre[:x], a - x), (pre[y:], b):
+            inner = range(start, start + len(ties))
+            for r, t in zip(set(ties).difference(inner), set(inner).difference(ties)):
                 p = order[r]
-                order[t] = p
-                rank[p - off] = t
+                order[r], order[t] = order[t], p
+                rank[p] = t
+        outs = sorted(order[lo:a] + order[b:hi + 1])
+        del outs[:bisect_left(outs, i)]
+        return outs
 
 
 def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
@@ -365,14 +356,12 @@ def bcis_sort(seq: list, trip_hook: Optional[TripHook] = None) -> SortStats:
         swaps += s
         if i is None:
             return SortStats(comps, assigns + 3 * swaps, swaps, trips, True)
-        if index is not None:
-            index.reopen(seq, sl, sr, i, k)
-        elif sr - sl + 1 >= INDEX_SPAN and retired * INDEX_RATE < width:
+        if index is None and sr - sl + 1 >= INDEX_SPAN and retired * INDEX_RATE < width:
             sample = sorted(seq[sl + 1:i])
             if all(map(lt, sample, islice(sample, 1, None))):
                 index = _RankIndex(seq, sl, sr)
         width = sr - sl + 1
-        sl, sr, c, a = _sweep(seq, sl, sr, i, index)
+        sl, sr, c, a = _sweep(seq, sl, sr, i, k, index)
         comps += c
         assigns += a
         retired = width - (sr - sl + 1)

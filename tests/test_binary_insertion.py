@@ -8,15 +8,16 @@ state as every trip finds them; ``test_properties`` runs it on random
 lists and small tuples, ``test_core_sort`` on the pinned inputs.  Here
 BCIS's counters on the fixed inputs also meet their closed forms, and
 quicksort's on the gate inputs are pinned, as are BCIS's on two inputs
-that cost more than reverse input above the pre-scan span, and on
-``sorted`` 10**6.
+that cost more than reverse input above the pre-scan span, and on the
+four large inputs whose counters CI's console-script step pins.
 """
 
+from dataclasses import astuple
 from math import isqrt
 
 import pytest
 
-from sortlab import DatasetSpec, SortStats, bcis_sort, generate
+from sortlab import DatasetSpec, SortStats, bcis_sort, generate, run_suite
 from test_properties import CLOSED_FORMS, _check, digest
 
 
@@ -109,13 +110,30 @@ def test_shielded_worst_small_counts(n):
     assert stats == SortStats(*SHIELDED_COUNTS[n])
 
 
-def test_sorted_counts_at_a_million():
-    # sorted 10**6, the benchmark's largest BCIS input: all but a few dozen
-    # right insertions go through the merge of an ascending stretch.  The
-    # linear reference would take seconds at this size.
-    work = generate(DatasetSpec("sorted", 10**6))
-    assert bcis_sort(work) == SortStats(3999866, 2999946, 18, 18, False)
-    assert work == sorted(work)
+#: BCIS's counters on the large inputs whose ``sortlab bench`` lines CI
+#: pins, each one ``run_suite`` trial at base seed 0, as that command runs
+#: it.  On ``sorted`` 10**6, the benchmark's largest BCIS input, all but a
+#: few dozen right insertions go through the merge of an ascending
+#: stretch; on ``reverse`` the left insertions fall and are spliced in
+#: once per run; ``equal`` is decided by the galloping equal scan; on
+#: ``uniform`` 2**17 the rank index names the slots each trip moves.  The
+#: linear reference would take seconds to minutes at these sizes.
+CI_COUNTS = [
+    (DatasetSpec("sorted", 10**6), (3999866, 2999946, 18, 18, False)),
+    (DatasetSpec("reverse", 10**5), (1666784081, 1666677912, 161, 60, False)),
+    (DatasetSpec("equal", 10**6), (999999, 3, 1, 1, True)),
+    (DatasetSpec("uniform", 2**17), (32315760, 16369896, 3806, 375, False)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, counts", [pytest.param(s, c, id=f"{s.kind}-{s.n}") for s, c in CI_COUNTS]
+)
+def test_counts_of_ci_inputs(spec, counts):
+    # run_suite checks the sorted output and the multiset; a record's
+    # fields 6 to 10 are the five counters, in CSV order.
+    (record,) = run_suite([("bcis", spec, 1)])
+    assert astuple(record)[6:11] == counts
 
 
 def nested_extremes(n):

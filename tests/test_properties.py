@@ -121,20 +121,24 @@ def digest(seq):
 @contextmanager
 def rank_index(forced=False):
     """Spy on BCIS's rank index: yield a Counter of its ``builds`` and of
-    the prefix ``ties`` it gives new ranks.  With forced, the trigger's
-    constants are zero, so the index builds on the first trip whose
-    pre-scan sample is distinct (empty below PRESCAN_SPAN)."""
+    the pre-scanned prefix items that tie with LC or RC when a trip opens
+    (``ties``); the Counter's ``index`` attribute holds the index built
+    last.  With forced, the trigger's constants are zero, so the index
+    builds on the first trip whose pre-scan sample is distinct (empty
+    below PRESCAN_SPAN)."""
     seen = Counter()
+    seen.index = None
 
     class Spy(bcis._RankIndex):
         def __init__(self, seq, sl, sr):
             seen["builds"] += 1
+            seen.index = self
             super().__init__(seq, sl, sr)
 
-        def settle(self):
-            seen["ties"] += sum(r not in range(start, start + len(ties))
-                                for ties, start in self.ties for r in ties)
-            super().settle()
+        def open(self, seq, sl, sr, i, k):
+            prefix = seq[sl + 1:i]
+            seen["ties"] += prefix.count(seq[sl]) + prefix.count(seq[sr])
+            return super().open(seq, sl, sr, i, k)
 
     constants = {"INDEX_SPAN": 0, "INDEX_RATE": 0} if forced else {}
     with mock.patch.multiple(bcis, _RankIndex=Spy, **constants):
@@ -196,16 +200,56 @@ def test_rank_index_matches_linear_reference(n, seed):
     assert seen["builds"] == 1
 
 
+def _folded(seed):
+    """uniform 2**13 folded onto 2,048 values."""
+    return [v % 2048 for v in generate(DatasetSpec("uniform", 2**13, seed=seed))]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_rank_index_settles_prefix_ties(seed):
     # Folded onto 2,048 values, uniform 2**13 keeps a distinct pre-scan
     # sample often enough to build the index, and later pre-scanned
     # prefixes hold items equal to LC or RC, which stay in the window and
-    # must take the inner ranks of their value (6 to 11 per input).
-    data = [v % 2048 for v in generate(DatasetSpec("uniform", 2**13, seed=seed))]
+    # must take the inner ranks of their value (6 to 13 per input).
     with rank_index() as seen:
-        _check("bcis", data, state=digest)
+        _check("bcis", _folded(seed), state=digest)
     assert seen["builds"] == 1 and seen["ties"] > 0
+
+
+def _sort_checking_index(data, seen):
+    """Sort a copy of data with BCIS under a ``rank_index`` spy, asserting
+    at the top of every trip after the index's build that its ranks
+    lo..hi name exactly the window's slots, and each slot its own value."""
+    seen.index = None
+
+    def whole(seq, sl, sr):
+        index = seen.index
+        if index is None:
+            return
+        lo, hi = index.lo, index.hi
+        slots = index.order[lo:hi + 1]
+        assert hi - lo == sr - sl
+        assert sl <= min(slots) and max(slots) <= sr
+        assert list(map(index.rank.__getitem__, slots)) == list(range(lo, hi + 1))
+        assert list(map(seq.__getitem__, slots)) == index.vals[lo:hi + 1]
+
+    work = list(data)
+    bcis.bcis_sort(work, trip_hook=whole)
+    assert work == sorted(data)
+
+
+def test_rank_index_is_whole_between_trips():
+    # The maps are read only through the sweep's moves, so a stale entry
+    # inside the window could hide until a later trip; check every one.
+    with rank_index() as seen:
+        for seed in range(3):
+            _sort_checking_index(_folded(seed), seen)
+    assert seen["builds"] == 3
+    with rank_index(forced=True) as seen:
+        for length in range(9):
+            for tup in product((0, 1, 2), repeat=length):
+                _sort_checking_index(tup, seen)
+    assert seen["builds"] > 5000
 
 
 def _scan_meets(n, k, v):

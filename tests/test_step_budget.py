@@ -35,12 +35,12 @@ from sortlab import DatasetSpec, bcis_sort, generate
 #: gallop (402,415 events).
 BUDGETS = [
     (DatasetSpec("equal", 10**5), 0.1),  # 3,544
-    (DatasetSpec("sorted", 10**5), 7),  # 304,410
-    (DatasetSpec("reverse", 10**4), 40),  # 210,810
-    (DatasetSpec("uniform", 2**12, seed=1), 60),  # 131,904
-    (DatasetSpec("uniform", 2**14, seed=1), 60),  # 522,767
-    (DatasetSpec("k_distinct", 10**4, seed=1, k_param=50), 100),  # 498,294
-    ([0] * 5000 + [1] * 5000, 15),  # 71,203
+    (DatasetSpec("sorted", 10**5), 7),  # 304,380
+    (DatasetSpec("reverse", 10**4), 40),  # 210,734
+    (DatasetSpec("uniform", 2**12, seed=1), 60),  # 131,155
+    (DatasetSpec("uniform", 2**14, seed=1), 60),  # 521,069
+    (DatasetSpec("k_distinct", 10**4, seed=1, k_param=50), 100),  # 498,238
+    ([0] * 5000 + [1] * 5000, 15),  # 71,201
 ]
 
 

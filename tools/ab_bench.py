@@ -18,11 +18,13 @@ The record holds:
 - ``gate_7``: the call seconds of gate criterion #7 from pytest's
   ``--durations``, in alternating runs of each side;
 - ``step_events``: the ``line`` events in ``bcis.py`` frames of one sort
-  (``tests/test_step_budget.py``'s measure) on each side;
+  (``tests/test_step_budget.py``'s measure) on each input of that test's
+  ``BUDGETS``, by its ids, on each side;
 - ``kernel_ab``: ``bcis_sort`` of both sides loaded into one process and
   timed in alternating pairs on each input, with their counters checked
-  equal; per input the median seconds of each side, the median of the
-  per-pair ratios (change over parent) and the pairs the change won.
+  equal; per input the median seconds of each side, the median and
+  quartiles of the per-pair ratios (change over parent) and the pairs the
+  change won.
 
 A full run takes about 70 minutes on a 2-vCPU VM.
 """
@@ -78,18 +80,6 @@ KERNEL_INPUTS = [
     ("reverse", 10**4, (0,), 11),
 ]
 
-#: The generated inputs of ``tests/test_step_budget.py``'s measure;
-#: ``step_events`` adds its zeros before ones.
-STEP_INPUTS = [
-    ("equal", 10**5, 0),
-    ("sorted", 10**5, 0),
-    ("reverse", 10**4, 0),
-    ("uniform", 2**12, 1),
-    ("uniform", 2**14, 1),
-    ("k_distinct", 10**4, 1),
-]
-
-
 def _spec(mod, kind, n, seed):
     k = {"k_param": 50} if kind == "k_distinct" else {}
     return mod.DatasetSpec(kind, n, seed=seed, **k)
@@ -139,6 +129,8 @@ def kernel_ab(parent: Path, change: Path) -> list:
                 "parent_s": round(statistics.median(ta), 5),
                 "change_s": round(statistics.median(tb), 5),
                 "median_ratio": round(statistics.median(ratios), 3),
+                "ratio_quartiles": [round(q, 3) for q in
+                                    statistics.quantiles(ratios, n=4, method="inclusive")],
                 "change_faster": sum(r < 1 for r in ratios),
             })
             print(json.dumps(rows[-1]), flush=True)
@@ -149,14 +141,9 @@ def step_events(tree: Path) -> dict:
     code = (
         "import json\n"
         "from sortlab import DatasetSpec, generate\n"
-        "from test_step_budget import line_events\n"
-        f"inputs = {STEP_INPUTS!r}\n"
-        "out = {}\n"
-        "for kind, n, seed in inputs:\n"
-        "    k = {'k_param': 50} if kind == 'k_distinct' else {}\n"
-        "    out[f'{kind}-{n}'] = line_events(generate(DatasetSpec(kind, n, seed=seed, **k)))\n"
-        "out['zeros-ones-10000'] = line_events([0] * 5000 + [1] * 5000)\n"
-        "print(json.dumps(out))\n"
+        "from test_step_budget import BUDGETS, _budget_id, line_events\n"
+        "print(json.dumps({_budget_id(s): line_events(\n"
+        "    generate(s) if isinstance(s, DatasetSpec) else list(s)) for s, _ in BUDGETS}))\n"
     )
     env = {**os.environ, "PYTHONPATH": f"{tree / 'src'}{os.pathsep}{tree / 'tests'}"}
     out = subprocess.run([sys.executable, "-c", code], cwd=tree, env=env,
