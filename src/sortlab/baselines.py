@@ -27,17 +27,12 @@ def insertion_sort(seq: list) -> SortStats:
     run = seq[:1]
     for i in range(1, len(seq)):
         key = seq[i]
-        if key < run[-1]:
-            k = bisect_right(run, key, 0, i - 1)
-            run.insert(k, key)
-            # The linear scan's counts: one guard per shift, plus the one
-            # that stopped it unless key went past the whole run.
-            comps += i - k + (k > 0)
-            assigns += i - k + 1
-        else:
-            run.append(key)
-            comps += 1
-            assigns += 1
+        k = bisect_right(run, key)
+        run.insert(k, key)
+        # The linear scan's counts: one guard per shift, plus the one that
+        # stopped it unless key went past the whole run.
+        comps += i - k + (k > 0)
+        assigns += i - k + 1
     seq[:] = run
     return SortStats(comps, assigns, 0, max(len(seq) - 1, 0))
 

@@ -51,18 +51,16 @@ INDEX_RATE = 16
 TripHook = Callable[[list, int, int], None]
 
 
-def _merge_stretch(seq: list, i: int, sr: int, last: int, curr, rc, top):
+def _merge_stretch(seq: list, i: int, sr: int, curr, rc, top):
     """Insert curr, then the ascending stretch seq[lo..sr - 1] of items >= RC
-    below the right run seq[sr..last], into the run in one step, as the item
+    below the right run seq[sr:], into the run in one step, as the item
     loop would one at a time from the stretch's top down; refill slot i
     from seq[lo - 1].  Return ``(lo, comparisons, assignments)``, or None
     when no stretch of 16 items fits in one merge of at most SLICE_CAP.
     """
     # The run's items below max(top, curr) join the merge; the rest stay.
-    m = bisect_left(seq, max(top, curr), sr, last + 1) - sr
+    m = bisect_left(seq, max(top, curr), sr) - sr
     room = min(SLICE_CAP - 1 - m, sr - 1 - i)
-    if room < 16:
-        return None
     # The first descent below sr - 1, looking no lower than slot i + 1:
     # gallop down over blocks of 16, 32, ... items that are ascending, each
     # with the stretch's lowest item, then search the first that is not.
@@ -92,7 +90,7 @@ def _merge_stretch(seq: list, i: int, sr: int, last: int, curr, rc, top):
     shifts += bisect_left(below, curr) + ns - bisect_right(stretch, curr)
     # Each later item is at most the one before, so only curr and top can
     # pass the whole run, where no guard stops the scan.
-    big = seq[last]
+    big = seq[-1]
     passes = (curr > big) + (top > curr and top > big)
     seq[i] = seq[lo - 1]
     # A stable sort leaves equal keys where the item loop puts them: the
@@ -202,7 +200,7 @@ def _sweep(seq: list, sl: int, sr: int, i: int, k: int, index: Optional[_RankInd
             if top >= rc and sr - i > 16 and rc <= seq[sr - 16] <= top:
                 # seq[sr - 16..sr - 1] may be an ascending stretch >= RC,
                 # which the item loop would insert next.
-                merged = _merge_stretch(seq, i, sr, last, curr, rc, top)
+                merged = _merge_stretch(seq, i, sr, curr, rc, top)
                 if merged:
                     lo, c, a = merged
                     comps += c
@@ -218,7 +216,7 @@ def _sweep(seq: list, sl: int, sr: int, i: int, k: int, index: Optional[_RankInd
                 seq[j - 1] = seq[j]
                 j += 1
                 if j <= last and curr > seq[j]:
-                    j = bisect_left(seq, curr, j + 1, last + 1)
+                    j = bisect_left(seq, curr, j + 1)
                     seq[sr:j - 1] = seq[sr + 1:j]
             seq[j - 1] = curr
             # The linear scan's counts: one guard per shift, plus the

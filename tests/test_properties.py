@@ -200,6 +200,29 @@ def test_rank_index_matches_linear_reference(n, seed):
     assert seen["builds"] == 1
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DatasetSpec("sorted", 10**4),
+        DatasetSpec("reverse", 10**4),
+        DatasetSpec("k_distinct", 10**4, seed=1, k_param=50),
+        *[DatasetSpec("uniform", n, seed=seed) for n in (2**10, 2**11) for seed in range(3)],
+    ],
+    ids=lambda spec: f"{spec.kind}-{spec.n}-seed{spec.seed}",
+)
+def test_rank_index_trigger_refuses(spec):
+    # The index would not repay its build on any of these: `sorted` and
+    # `reverse` retire too much of each window (INDEX_RATE), 50-distinct
+    # repeats its pre-scan sample, and `uniform` 2**10 and 2**11 and
+    # `reverse` after its first trip have windows narrower than INDEX_SPAN
+    # (`uniform` 2**11's first trip is refused by the rate test).  A
+    # trigger without one of its three tests builds the index on at least
+    # one of them.
+    with rank_index() as seen:
+        bcis.bcis_sort(generate(spec))
+    assert seen["builds"] == 0
+
+
 def _folded(seed):
     """uniform 2**13 folded onto 2,048 values."""
     return [v % 2048 for v in generate(DatasetSpec("uniform", 2**13, seed=seed))]
@@ -443,13 +466,18 @@ def _fenwick_inversions(data):
         DatasetSpec("uniform", 10**4),
         DatasetSpec("reverse", 10**4),
         DatasetSpec("k_distinct", 10**4, k_param=50),
+        DatasetSpec("sorted", 10**4),
+        DatasetSpec("equal", 10**4),
+        DatasetSpec("reverse", 10**3),
     ],
     ids=["uniform-1e3", "uniform-1e4", "k_distinct-1e3", "uniform-1e4-seed0",
-         "reverse-1e4", "k_distinct-1e4"],
+         "reverse-1e4", "k_distinct-1e4", "sorted-1e4", "equal-1e4", "reverse-1e3"],
 )
 def test_insertion_sort_exact_oracle_at_gate_sizes(spec):
     # The oracle above, at the sizes of the gate's insertion-sort fidelity
-    # band, with the inversions counted in O(n log n).
+    # band, with the inversions counted in O(n log n); on `sorted` and
+    # `equal` every key stays on top of the run, and `reverse` 10**3 is the
+    # count CI's console step also pins (499,500 comparisons).
     data = generate(spec)
     inversions = _fenwick_inversions(data)
     prefix_minima = sum(v < low for v, low in zip(data[1:], accumulate(data, min)))

@@ -1,4 +1,4 @@
-"""A/B benchmark of this checkout's BCIS kernel against a parent commit.
+"""A/B benchmark of this checkout's sort kernels against a parent commit.
 
 Usage, from the root of a checkout::
 
@@ -20,11 +20,11 @@ The record holds:
 - ``step_events``: the ``line`` events in ``bcis.py`` frames of one sort
   (``tests/test_step_budget.py``'s measure) on each input of that test's
   ``BUDGETS``, by its ids, on each side;
-- ``kernel_ab``: ``bcis_sort`` of both sides loaded into one process and
-  timed in alternating pairs on each input, with their counters checked
-  equal; per input the median seconds of each side, the median and
-  quartiles of the per-pair ratios (change over parent) and the pairs the
-  change won.
+- ``kernel_ab``: each input's sort (``bcis_sort``, ``insertion_sort``)
+  of both sides loaded into one process and timed in alternating pairs,
+  with their counters checked equal; per input the median seconds of
+  each side, the median and quartiles of the per-pair ratios (change
+  over parent) and the pairs the change won.
 
 A full run takes about 70 minutes on a 2-vCPU VM.
 """
@@ -63,21 +63,26 @@ SEED, CLAIM_SEED = 0, 17
 #: Alternating runs of gate criterion #7 per side.
 GATE_RUNS = 2
 
-#: (kind, n, seeds, pairs per seed): the inputs of the kernel A/B.
+#: (sort, kind, n, seeds, pairs per seed): the inputs of the kernel A/B.
 KERNEL_INPUTS = [
-    *[("uniform", 2**e, (0, 1, 2), 11) for e in range(10, 15)],
-    ("uniform", 2**15, (0, 1, 2), 5),
-    ("uniform", 2**16, (0, 1), 3),
-    ("uniform", 2**17, (0, 1), 3),
-    ("k_distinct", 10**5, (0, 1), 7),
-    ("k_distinct", 10**6, (0,), 5),
-    ("sorted", 10**4, (0,), 11),
-    ("sorted", 10**5, (0,), 11),
-    ("sorted", 10**6, (0,), 7),
-    ("equal", 10**5, (0,), 11),
-    ("equal", 10**6, (0,), 11),
-    ("reverse", 10**3, (0,), 11),
-    ("reverse", 10**4, (0,), 11),
+    *[("bcis_sort", "uniform", 2**e, (0, 1, 2), 11) for e in range(10, 15)],
+    ("bcis_sort", "uniform", 2**15, (0, 1, 2), 5),
+    ("bcis_sort", "uniform", 2**16, (0, 1), 3),
+    ("bcis_sort", "uniform", 2**17, (0, 1), 3),
+    ("bcis_sort", "k_distinct", 10**5, (0, 1), 7),
+    ("bcis_sort", "k_distinct", 10**6, (0,), 5),
+    ("bcis_sort", "sorted", 10**4, (0,), 11),
+    ("bcis_sort", "sorted", 10**5, (0,), 11),
+    ("bcis_sort", "sorted", 10**6, (0,), 7),
+    ("bcis_sort", "equal", 10**5, (0,), 11),
+    ("bcis_sort", "equal", 10**6, (0,), 11),
+    ("bcis_sort", "reverse", 10**3, (0,), 11),
+    ("bcis_sort", "reverse", 10**4, (0,), 11),
+    *[("insertion_sort", "uniform", 2**e, (0,), 21) for e in range(9, 12)],
+    ("insertion_sort", "uniform", 10**4, (0,), 11),
+    ("insertion_sort", "reverse", 10**4, (0,), 11),
+    ("insertion_sort", "sorted", 10**5, (0,), 11),
+    ("insertion_sort", "equal", 10**5, (0,), 11),
 ]
 
 def _spec(mod, kind, n, seed):
@@ -110,7 +115,7 @@ def _timed(sort, data):
 def kernel_ab(parent: Path, change: Path) -> list:
     a, b = _load(parent, "sortlab_parent"), _load(change, "sortlab_change")
     rows = []
-    for kind, n, seeds, pairs in KERNEL_INPUTS:
+    for sort, kind, n, seeds, pairs in KERNEL_INPUTS:
         for seed in seeds:
             data = b.generate(_spec(b, kind, n, seed))
             ta, tb = [], []
@@ -118,14 +123,14 @@ def kernel_ab(parent: Path, change: Path) -> list:
                 sides = [(a, ta), (b, tb)] if p % 2 == 0 else [(b, tb), (a, ta)]
                 stats = []
                 for mod, times in sides:
-                    t, s = _timed(mod.bcis_sort, data)
+                    t, s = _timed(getattr(mod, sort), data)
                     times.append(t)
                     stats.append(astuple(s))
                 if stats[0] != stats[1]:
-                    raise SystemExit(f"counters differ on {kind} {n} seed {seed}: {stats}")
+                    raise SystemExit(f"{sort} counters differ on {kind} {n} seed {seed}: {stats}")
             ratios = [y / x for x, y in zip(ta, tb)]
             rows.append({
-                "kind": kind, "n": n, "seed": seed, "pairs": pairs,
+                "sort": sort, "kind": kind, "n": n, "seed": seed, "pairs": pairs,
                 "parent_s": round(statistics.median(ta), 5),
                 "change_s": round(statistics.median(tb), 5),
                 "median_ratio": round(statistics.median(ratios), 3),
