@@ -8,7 +8,8 @@ Both use the same signature and counting convention as
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import MutableSequence
+from functools import lru_cache
+from typing import MutableSequence, Tuple
 
 from .stats import SortStats
 
@@ -46,6 +47,10 @@ def quicksort_mo3(seq: MutableSequence) -> SortStats:
     to the pivot, which keeps splits balanced on duplicate-heavy input.
     Every exchange, including one of a slot with itself, counts as one
     swap and 3 assignments.
+
+    A range of more than 17 items that holds one value is not
+    partitioned: its items stay where they are, and the counts that its
+    partitions would make come from :func:`_one_value`.
     """
     comps = swaps = trips = 0
     # Pending (lo, hi) ranges, inclusive.  The smaller part of each
@@ -66,6 +71,7 @@ def quicksort_mo3(seq: MutableSequence) -> SortStats:
 
         mid = lo + (hi - lo) // 2
         comps += 3
+        before = swaps
         if seq[mid] < seq[lo]:
             seq[lo], seq[mid] = seq[mid], seq[lo]
             swaps += 1
@@ -77,6 +83,15 @@ def quicksort_mo3(seq: MutableSequence) -> SortStats:
             swaps += 1
         if hi - lo == 2:
             continue
+        # No exchange and seq[lo] not below seq[hi]: the three samples are
+        # equal.  If the whole range holds their value, count it.
+        if swaps == before and hi - lo > 16 and not seq[lo] < seq[hi]:
+            if seq[lo:hi + 1].count(seq[lo]) == hi - lo + 1:
+                c, s, t = _one_value(hi - lo + 1)
+                comps += c - 3
+                swaps += s
+                trips += t - 1
+                continue
 
         # Park the pivot at hi-1; seq[lo] and seq[hi] are sentinels.
         seq[mid], seq[hi - 1] = seq[hi - 1], seq[mid]
@@ -105,3 +120,24 @@ def quicksort_mo3(seq: MutableSequence) -> SortStats:
         else:
             stack += [(lo, i - 1), (i + 1, hi)]
     return SortStats(comps, 3 * swaps, swaps, trips)
+
+
+@lru_cache(maxsize=1024)
+def _one_value(m: int) -> Tuple[int, int, int]:
+    """(comparisons, swaps, sort trips) of ``quicksort_mo3`` on m equal keys.
+
+    A range of m >= 4 equal keys costs one trip: the median of three (3
+    comparisons, no exchange) and the pivot parked at hi - 1 (one swap);
+    then i and j each stop at once, one comparison each per step, and
+    meet in the middle after s + 1 steps, s = (m - 3) // 2, exchanging
+    their pair at each of the first s; then the pivot's exchange into
+    slot i.  The parts left and right of the pivot hold (m - 1) // 2 and
+    m // 2 keys, so the recursion visits at most two sizes per level,
+    O(log m) in all; the cache keeps the 1,024 sizes used last.
+    """
+    if m < 4:
+        return ((0, 0, 0), (0, 0, 0), (1, 0, 1), (3, 0, 1))[m]
+    s = (m - 3) // 2
+    a = _one_value((m - 1) // 2)
+    b = _one_value(m // 2)
+    return 2 * s + 5 + a[0] + b[0], s + 2 + a[1] + b[1], 1 + a[2] + b[2]

@@ -132,7 +132,9 @@ def _below(rng: random.Random, bound: int, count: int) -> List[int]:
         words = array("I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
         if sys.byteorder == "big":
             words.byteswap()
-        out += map(shift.__rrshift__, filter(keep, words))
+        kept = filter(keep, words)
+        # VALUE_BOUND's draws take whole words: no shift to apply.
+        out += map(shift.__rrshift__, kept) if shift else kept
     return out
 
 

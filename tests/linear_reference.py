@@ -1,14 +1,18 @@
-"""The linear-scan kernels that ``bcis_sort`` and ``insertion_sort`` had
-before they found each stop index by binary search.
+"""The kernels that ``bcis_sort``, ``insertion_sort`` and ``quicksort_mo3``
+had before they reached their counters by faster paths: the linear scans
+that BCIS and insertion sort had before they found each stop index by
+binary search, and quicksort's partition loop before its ranges of one
+value were counted by a closed form.
 
-Test-only reference: each insertion here shifts one slot per guard, so the
-counters these kernels return describe comparisons and writes they really
-perform.  The production kernels must match them in output, in all five
-counters and in the window and array state that ``trip_hook`` sees.  The
-BCIS kernel here still tallies each classification as the pre-scan or the
-sweep makes it, and scans its window by index with a bound test, so it is
-the independent check of the production kernel's one count per trip
-window and of its bound-free iterator scan.
+Test-only reference: each insertion here shifts one slot per guard, and
+quicksort partitions every range, so the counters these kernels return
+describe comparisons and writes they really perform.  The production
+kernels must match them in output, in all five counters and, for BCIS,
+in the window and array state that ``trip_hook`` sees.  The BCIS kernel
+here still tallies each classification as the pre-scan or the sweep
+makes it, and scans its window by index with a bound test, so it is the
+independent check of the production kernel's one count per trip window
+and of its bound-free iterator scan.
 """
 
 from __future__ import annotations
@@ -148,3 +152,73 @@ def insertion_sort(seq: MutableSequence) -> SortStats:
         comps += i - 1 - j + (j >= 0)
         assigns += i - j
     return SortStats(comps, assigns, 0, max(len(seq) - 1, 0))
+
+
+def quicksort_mo3(seq: MutableSequence) -> SortStats:
+    """Median-of-three quicksort of seq, ascending, in place.
+
+    The pivot of each partition is the median of its first, middle and
+    last elements, chosen by sorting those three in place (ties resolved
+    toward the lower index).  Partitioning scans stop on elements equal
+    to the pivot, which keeps splits balanced on duplicate-heavy input.
+    Every exchange, including one of a slot with itself, counts as one
+    swap and 3 assignments.
+    """
+    comps = swaps = trips = 0
+    # Pending (lo, hi) ranges, inclusive.  The smaller part of each
+    # partition is pushed last, so it is sorted first and the stack stays
+    # O(log n).
+    stack = [(0, len(seq) - 1)]
+    while stack:
+        lo, hi = stack.pop()
+        if lo >= hi:
+            continue
+        trips += 1
+        if hi - lo == 1:
+            comps += 1
+            if seq[hi] < seq[lo]:
+                seq[lo], seq[hi] = seq[hi], seq[lo]
+                swaps += 1
+            continue
+
+        mid = lo + (hi - lo) // 2
+        comps += 3
+        if seq[mid] < seq[lo]:
+            seq[lo], seq[mid] = seq[mid], seq[lo]
+            swaps += 1
+        if seq[hi] < seq[lo]:
+            seq[lo], seq[hi] = seq[hi], seq[lo]
+            swaps += 1
+        if seq[hi] < seq[mid]:
+            seq[mid], seq[hi] = seq[hi], seq[mid]
+            swaps += 1
+        if hi - lo == 2:
+            continue
+
+        # Park the pivot at hi-1; seq[lo] and seq[hi] are sentinels.
+        seq[mid], seq[hi - 1] = seq[hi - 1], seq[mid]
+        swaps += 1
+        pivot = seq[hi - 1]
+        i = lo + 1
+        j = hi - 2
+        while True:
+            while seq[i] < pivot:
+                i += 1
+            while pivot < seq[j]:
+                j -= 1
+            if i >= j:
+                break
+            seq[i], seq[j] = seq[j], seq[i]
+            swaps += 1
+            i += 1
+            j -= 1
+        # Each scan step is one comparison, including the one that stops it.
+        comps += (i - lo) + (hi - 1 - j)
+        seq[i], seq[hi - 1] = seq[hi - 1], seq[i]
+        swaps += 1
+
+        if i - lo < hi - i:
+            stack += [(i + 1, hi), (lo, i - 1)]
+        else:
+            stack += [(lo, i - 1), (i + 1, hi)]
+    return SortStats(comps, 3 * swaps, swaps, trips)

@@ -2,14 +2,16 @@
 
 ``bcis_sort`` and ``insertion_sort`` find each insertion's stop index by
 binary search but report the counters of the linear scan in
-``linear_reference``.  ``_check`` pins fast == reference on the output,
-all five counters and, for BCIS, the ``(sl, sr)`` window and the array
-state as every trip finds them; ``test_properties`` runs it on random
-lists and small tuples, ``test_core_sort`` on the pinned inputs.  Here
-BCIS's counters on the fixed inputs also meet their closed forms, and
-quicksort's on the gate inputs are pinned, as are BCIS's on two inputs
-that cost more than reverse input above the pre-scan span, and both
-sorts' on the large inputs whose counters CI's console-script step pins.
+``linear_reference``, and ``quicksort_mo3`` counts its ranges of one
+value without partitioning them.  ``_check`` pins fast == reference on
+the output, all five counters and, for BCIS, the ``(sl, sr)`` window and
+the array state as every trip finds them; ``test_properties`` runs it on
+random lists and small tuples, ``test_core_sort`` on the pinned inputs.
+Here BCIS's counters on the fixed inputs also meet their closed forms,
+and quicksort's on the gate inputs are pinned, as are BCIS's on two
+inputs that cost more than reverse input above the pre-scan span, and
+both sorts' on the large inputs whose counters CI's console-script step
+pins.
 """
 
 from dataclasses import astuple
@@ -29,8 +31,7 @@ GATE_INPUTS = [
     DatasetSpec("equal", 10**5),
 ]
 
-#: Quicksort's counters on the gate inputs, measured.  No other test
-#: checks its counts on more than 300 items.
+#: Quicksort's counters on the gate inputs, measured.
 QS_COUNTS = {
     "uniform": (145799, 112926, 37642, 5704, False),
     "reverse": (193971, 70098, 23366, 5910, False),

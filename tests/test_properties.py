@@ -1,17 +1,20 @@
 """The check shared by every kernel test, and the inputs it runs on.
 
 ``_check`` sorts a copy of an input with one of the three sorts and
-asserts what holds on every input; for ``bcis`` and ``is`` that includes
-equality with the linear-scan kernels of ``linear_reference``.  It runs
-here on random lists, on every tuple over {0, 1, 2} up to length 8, on
-runs of one value at the ends of the equal scan's slices, on ascending
+asserts what holds on every input, including equality with the kernels
+of ``linear_reference``, which perform every operation they count.  It
+runs here on random lists, on every tuple over {0, 1, 2} up to length 8,
+on runs of one value at the ends of the equal scan's slices, on ascending
 tails and stretches that BCIS merges into its right run, on falling
 sequences that its left insertions splice in one step, on the pinned
-inputs of ``test_core_sort`` and on the fixed inputs and gate
-inputs of ``test_binary_insertion``.  BCIS's rank-indexed sweep is checked
-where its trigger fires, and on the small corpora with the trigger forced.
-Insertion sort's counters are also checked against an exact
-inversion-count oracle.
+inputs of ``test_core_sort`` and on the fixed inputs and gate inputs of
+``test_binary_insertion``.  BCIS's rank-indexed sweep is checked where
+its trigger fires, and on the small corpora with the trigger forced.
+Quicksort is checked on ranges of one value on both sides of the size
+from which it counts them without partitioning, on ranges whose three
+samples are equal but which hold one other value, and on inputs of a few
+distinct values.  Insertion sort's counters are also checked against an
+exact inversion-count oracle.
 """
 
 import random
@@ -29,8 +32,12 @@ from sortlab import ALGORITHMS, DatasetSpec, SortStats, generate, insertion_sort
 from sortlab import bcis
 from sortlab.bcis import SLICE_CAP
 
-#: The linear-scan kernel each binary-insertion kernel must match.
-REFERENCES = {"bcis": linear_reference.bcis_sort, "is": linear_reference.insertion_sort}
+#: The reference kernel each sort must match.
+REFERENCES = {
+    "bcis": linear_reference.bcis_sort,
+    "is": linear_reference.insertion_sort,
+    "qs": linear_reference.quicksort_mo3,
+}
 
 # Two or three values put ties at nearly every stop index; 10**9 values
 # almost none.  Lists up to 300 cross PRESCAN_SPAN (100).
@@ -415,6 +422,45 @@ def test_ascending_tail_longer_than_two_merges():
     head = list(range(100))
     rng.shuffle(head)
     _check("bcis", head + list(range(100, 5 * SLICE_CAP)))
+
+
+def test_quicksort_on_one_value():
+    # Ranges of more than 17 items are counted, not partitioned.
+    for m in range(2, 601):
+        _check("qs", [7] * m)
+
+
+def _one_other(n, k, v):
+    """n items of 7 with v at index k."""
+    data = [7] * n
+    data[k] = v
+    return data
+
+
+@pytest.mark.parametrize("n", [17, 18, 19, 300, 301])
+def test_quicksort_one_other_value(n):
+    # The first, middle and last items are 7, so the median of three
+    # exchanges nothing and its samples are equal, but one item, next to
+    # an end or to the middle, is not 7: the range must be partitioned.
+    mid = (n - 1) // 2
+    for k in (1, n - 2, mid - 1, mid + 1):
+        for v in (6, 8):
+            _check("qs", _one_other(n, k, v))
+    # One other value in many copies, everywhere but the three samples.
+    rng = random.Random(n)
+    for _ in range(20):
+        data = [rng.choice((7, 8)) for _ in range(n)]
+        data[0] = data[mid] = data[-1] = 7
+        _check("qs", data)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 50])
+def test_quicksort_on_few_values(k):
+    # Partitions of a few values soon leave ranges of one value, of many
+    # sizes.
+    for n in (50, 300, 2000, 10**4):
+        for seed in range(2):
+            _check("qs", generate(DatasetSpec("k_distinct", n, seed=seed, k_param=k)))
 
 
 @given(data=lists)

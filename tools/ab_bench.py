@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/ab_bench.py --parent 01603e0 --out BENCH_29.json
+    python3 tools/ab_bench.py --parent ca169a9 --out BENCH_32.json
 
 Both sides run from fresh copies in a temporary directory: the parent
 from ``git archive``, the change from this working tree's ``src/``,
@@ -17,16 +17,18 @@ The record holds:
   quartile distance exceeds the metric's bound, as a share of its median;
 - ``gate_7``: the call seconds of gate criterion #7 from pytest's
   ``--durations``, in alternating runs of each side;
-- ``step_events``: the ``line`` events in ``bcis.py`` frames of one sort
-  (``tests/test_step_budget.py``'s measure) on each input of that test's
-  ``BUDGETS``, by its ids, on each side;
-- ``kernel_ab``: each input's sort (``bcis_sort``, ``insertion_sort``)
-  of both sides loaded into one process and timed in alternating pairs,
+- ``step_events``: the ``line`` events in the sort's module of one sort
+  (this checkout's ``tests/test_step_budget.py`` measure, run against
+  each side's ``src/``) on each input of that test's ``BUDGETS``, by its
+  ids, on each side;
+- ``kernel_ab``: each input's sort (``bcis_sort``, ``insertion_sort``,
+  ``quicksort_mo3``) of both sides loaded into one process and timed in
+  alternating pairs,
   with their counters checked equal; per input the median seconds of
   each side, the median and quartiles of the per-pair ratios (change
   over parent) and the pairs the change won.
 
-A full run takes about 70 minutes on a 2-vCPU VM.
+A full run takes about an hour on a 2-vCPU VM.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 #: The workload whose ``wall_s`` the change claims to lower, or, for a
 #: change that claims no gain, the one it touches most.
-CLAIMED = "uniform-grid"
+CLAIMED = "baselines-grid"
 
 #: Alternating perfbench pairs per workload and seed.
 PAIRS = 10
@@ -63,31 +65,33 @@ SEED, CLAIM_SEED = 0, 17
 #: Alternating runs of gate criterion #7 per side.
 GATE_RUNS = 2
 
-#: (sort, kind, n, seeds, pairs per seed): the inputs of the kernel A/B.
+#: (sort, kind, n, k, seeds, pairs per seed): the inputs of the kernel
+#: A/B; k is the k_param of ``k_distinct`` and None for other kinds.
 KERNEL_INPUTS = [
-    *[("bcis_sort", "uniform", 2**e, (0, 1, 2), 11) for e in range(10, 15)],
-    ("bcis_sort", "uniform", 2**15, (0, 1, 2), 5),
-    ("bcis_sort", "uniform", 2**16, (0, 1), 3),
-    ("bcis_sort", "uniform", 2**17, (0, 1), 3),
-    ("bcis_sort", "k_distinct", 10**5, (0, 1), 7),
-    ("bcis_sort", "k_distinct", 10**6, (0,), 5),
-    ("bcis_sort", "sorted", 10**4, (0,), 11),
-    ("bcis_sort", "sorted", 10**5, (0,), 11),
-    ("bcis_sort", "sorted", 10**6, (0,), 7),
-    ("bcis_sort", "equal", 10**5, (0,), 11),
-    ("bcis_sort", "equal", 10**6, (0,), 11),
-    ("bcis_sort", "reverse", 10**3, (0,), 11),
-    ("bcis_sort", "reverse", 10**4, (0,), 11),
-    *[("insertion_sort", "uniform", 2**e, (0,), 21) for e in range(9, 12)],
-    ("insertion_sort", "uniform", 10**4, (0,), 11),
-    ("insertion_sort", "reverse", 10**4, (0,), 11),
-    ("insertion_sort", "sorted", 10**5, (0,), 11),
-    ("insertion_sort", "equal", 10**5, (0,), 11),
+    *[("bcis_sort", "uniform", 2**e, None, (0, 1, 2), 11) for e in range(10, 15)],
+    ("bcis_sort", "uniform", 2**15, None, (0, 1, 2), 5),
+    ("bcis_sort", "uniform", 2**16, None, (0, 1), 3),
+    ("bcis_sort", "uniform", 2**17, None, (0, 1), 3),
+    ("bcis_sort", "k_distinct", 10**5, 50, (0, 1), 7),
+    ("bcis_sort", "k_distinct", 10**6, 50, (0,), 5),
+    ("bcis_sort", "sorted", 10**4, None, (0,), 11),
+    ("bcis_sort", "sorted", 10**5, None, (0,), 11),
+    ("bcis_sort", "sorted", 10**6, None, (0,), 7),
+    ("bcis_sort", "equal", 10**5, None, (0,), 11),
+    ("bcis_sort", "equal", 10**6, None, (0,), 11),
+    ("bcis_sort", "reverse", 10**3, None, (0,), 11),
+    ("bcis_sort", "reverse", 10**4, None, (0,), 11),
+    *[("insertion_sort", "uniform", 2**e, None, (0,), 21) for e in range(9, 12)],
+    ("insertion_sort", "uniform", 10**4, None, (0,), 11),
+    ("insertion_sort", "reverse", 10**4, None, (0,), 11),
+    ("insertion_sort", "sorted", 10**5, None, (0,), 11),
+    ("insertion_sort", "equal", 10**5, None, (0,), 11),
+    *[("quicksort_mo3", "k_distinct", 10**5, k, (0, 1), 7) for k in (5, 50, 1000)],
+    *[("quicksort_mo3", "k_distinct", 10**6, k, (0,), 5) for k in (5, 50, 1000)],
+    ("quicksort_mo3", "equal", 10**5, None, (0,), 11),
+    *[("quicksort_mo3", "uniform", 2**e, None, (0, 1), 7) for e in (14, 16)],
+    ("quicksort_mo3", "uniform", 2**18, None, (0,), 5),
 ]
-
-def _spec(mod, kind, n, seed):
-    k = {"k_param": 50} if kind == "k_distinct" else {}
-    return mod.DatasetSpec(kind, n, seed=seed, **k)
 
 
 def _load(tree: Path, name: str):
@@ -115,9 +119,9 @@ def _timed(sort, data):
 def kernel_ab(parent: Path, change: Path) -> list:
     a, b = _load(parent, "sortlab_parent"), _load(change, "sortlab_change")
     rows = []
-    for sort, kind, n, seeds, pairs in KERNEL_INPUTS:
+    for sort, kind, n, k, seeds, pairs in KERNEL_INPUTS:
         for seed in seeds:
-            data = b.generate(_spec(b, kind, n, seed))
+            data = b.generate(b.DatasetSpec(kind, n, seed=seed, k_param=k))
             ta, tb = [], []
             for p in range(pairs):
                 sides = [(a, ta), (b, tb)] if p % 2 == 0 else [(b, tb), (a, ta)]
@@ -127,10 +131,11 @@ def kernel_ab(parent: Path, change: Path) -> list:
                     times.append(t)
                     stats.append(astuple(s))
                 if stats[0] != stats[1]:
-                    raise SystemExit(f"{sort} counters differ on {kind} {n} seed {seed}: {stats}")
+                    raise SystemExit(
+                        f"{sort} counters differ on {kind} {n} k {k} seed {seed}: {stats}")
             ratios = [y / x for x, y in zip(ta, tb)]
             rows.append({
-                "sort": sort, "kind": kind, "n": n, "seed": seed, "pairs": pairs,
+                "sort": sort, "kind": kind, "n": n, "k": k, "seed": seed, "pairs": pairs,
                 "parent_s": round(statistics.median(ta), 5),
                 "change_s": round(statistics.median(tb), 5),
                 "median_ratio": round(statistics.median(ratios), 3),
@@ -142,15 +147,15 @@ def kernel_ab(parent: Path, change: Path) -> list:
     return rows
 
 
-def step_events(tree: Path) -> dict:
+def step_events(tree: Path, tests: Path) -> dict:
     code = (
         "import json\n"
         "from sortlab import DatasetSpec, generate\n"
         "from test_step_budget import BUDGETS, _budget_id, line_events\n"
-        "print(json.dumps({_budget_id(s): line_events(\n"
-        "    generate(s) if isinstance(s, DatasetSpec) else list(s)) for s, _ in BUDGETS}))\n"
+        "print(json.dumps({_budget_id(f, s): line_events(f,\n"
+        "    generate(s) if isinstance(s, DatasetSpec) else list(s)) for f, s, _ in BUDGETS}))\n"
     )
-    env = {**os.environ, "PYTHONPATH": f"{tree / 'src'}{os.pathsep}{tree / 'tests'}"}
+    env = {**os.environ, "PYTHONPATH": f"{tree / 'src'}{os.pathsep}{tests}"}
     out = subprocess.run([sys.executable, "-c", code], cwd=tree, env=env,
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
@@ -257,7 +262,8 @@ def main() -> None:
         record["gate_7"] = {"call_s": runs}
         print(json.dumps(record["gate_7"]), flush=True)
 
-        record["step_events"] = {name: step_events(tree) for name, tree in sides.items()}
+        record["step_events"] = {name: step_events(tree, change / "tests")
+                                 for name, tree in sides.items()}
         print(json.dumps(record["step_events"]), flush=True)
         record["kernel_ab"] = kernel_ab(parent, change)
 
