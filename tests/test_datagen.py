@@ -111,7 +111,12 @@ def test_generates_n_items():
 
 
 @pytest.mark.parametrize(
-    "bound", [1, 2, 3, 5, 50, 64, 255, 256, 257, 1000, 1001, 2**20 + 1, 2**31 - 1, 2**31]
+    "bound",
+    [
+        *(1, 2, 3, 5, 50, 64, 127, 128, 129, 255, 256, 257, 1000, 1001),
+        *(2**20 + 1, 2**24, 2**24 + 1, 3 * 2**22, 2**30, 2**30 + 1),
+        *(2**31 - 1, 2**31, 2**32 - 1),
+    ],
 )
 def test_bulk_draws_equal_randrange(bound):
     # _below relies on CPython's getrandbits word order and _randbelow
@@ -127,7 +132,7 @@ def test_generate_equals_per_item_draws():
     for n in [*range(121), 10**5]:
         specs = [DatasetSpec("uniform", n, seed=n)] + [
             DatasetSpec("k_distinct", n, seed=n, k_param=k)
-            for k in {1, 2, 50, 64, max(n, 1)}
+            for k in {1, 2, 50, 64, 255, 256, 1000, max(n, 1)}
             if k <= max(n, 1)
         ]
         for spec in specs:
