@@ -10,11 +10,14 @@ with BLAKE2b (see :func:`derive_seed`).
 
 ``uniform`` and ``k_distinct`` values are exactly those that
 ``randrange(VALUE_BOUND)`` and ``choice(pool)`` give on the spec's seed, but
-drawn in bulk (:func:`_below`).  The equality rests on CPython's
-``getrandbits`` word order and ``_randbelow`` rejection rule, which
-``tests/test_datagen.py`` pins against the per-item calls.  Integer CSV
-fields must be canonical (``str(int(text)) == text``, checked by
-``bench.read_csv``), so a row read back names the spec that made its input.
+drawn in bulk (:func:`_below`): each round keeps or drops its 32-bit words
+by one mask, their top bytes read through a table at C speed, and compares
+whole only the words whose top byte ties with the rejection limit's.  The
+equality rests on CPython's ``getrandbits`` word order and ``_randbelow``
+rejection rule, which ``tests/test_datagen.py`` pins against the per-item
+calls.  Integer CSV fields must be canonical (``str(int(text)) == text``,
+checked by ``bench.read_csv``), so a row read back names the spec that made
+its input.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import compress
 from typing import List, Optional
 
 from .bcis import PRESCAN_SPAN
@@ -44,6 +48,10 @@ SAMPLED = ("uniform", "k_distinct")
 
 #: Values drawn by ``uniform`` and ``k_distinct`` lie in ``[0, VALUE_BOUND)``.
 VALUE_BOUND = 2**31
+
+#: ``_SHIFTED[s][b] == b >> s``: the value that a word with top byte b
+#: gives a bound of ``8 - s`` bits.
+_SHIFTED = [bytes(b >> s for b in range(256)) for s in range(8)]
 
 
 class DatasetSpecError(ValueError):
@@ -119,20 +127,46 @@ def _below(rng: random.Random, bound: int, count: int) -> List[int]:
 
     ``_randbelow`` takes the top ``k = bound.bit_length()`` bits of a 32-bit
     word and redraws while they are ``>= bound``; they are below ``bound``
-    exactly when the word is below ``bound << (32 - k)``.
+    exactly when the word is below ``limit = bound << (32 - k)``.
     ``getrandbits(32 * m)`` holds its m words in draw order from the low
     bits up.  Each round asks for every word still missing, and only for
     those, so ``rng`` ends where ``count`` calls would leave it.
+
+    A round picks its words by one byte mask: each word's top byte, read
+    through a 256-entry table, gives 1 (below ``limit``'s top byte: keep),
+    0 (above it, or equal to it when ``limit``'s low 24 bits are zero:
+    drop) or 2 (equal, with nonzero low bits: a tie).  Only ties, about one
+    word in 256, are compared whole; ``VALUE_BOUND`` and every bound below
+    2**8 have none.  When ``k <= 8``, a value is its word's top byte
+    shifted, read through a second table (:data:`_SHIFTED`), so no word
+    becomes an int.
     """
+    if not 0 < bound < 2**32:
+        raise ValueError(f"bound must be in (0, 2**32), got {bound}")
     shift = 32 - bound.bit_length()
-    keep = (bound << shift).__gt__
+    limit = bound << shift
+    top, low = limit >> 24, limit & 0xFFFFFF
+    keep = b"\x01" * top + (b"\x02" if low else b"\x00") + bytes(255 - top)
+    values = _SHIFTED[shift - 24] if shift >= 24 else None
     out: List[int] = []
     while len(out) < count:
         m = count - len(out)
-        words = array("I", rng.getrandbits(32 * m).to_bytes(4 * m, "little"))
+        raw = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        tops = raw[3::4]
+        mask = tops.translate(keep)
+        if low:
+            mask = bytearray(mask)
+            i = mask.find(2)
+            while i >= 0:
+                mask[i] = int.from_bytes(raw[4 * i:4 * i + 4], "little") < limit
+                i = mask.find(2, i + 1)
+        if values is not None:
+            out += compress(tops.translate(values), mask)
+            continue
+        words = array("I", raw)
         if sys.byteorder == "big":
             words.byteswap()
-        kept = filter(keep, words)
+        kept = compress(words, mask)
         # VALUE_BOUND's draws take whole words: no shift to apply.
         out += map(shift.__rrshift__, kept) if shift else kept
     return out

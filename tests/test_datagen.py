@@ -128,6 +128,14 @@ def test_bulk_draws_equal_randrange(bound):
             assert rng.getstate() == ref.getstate(), (seed, count)
 
 
+@pytest.mark.parametrize("bound", [0, -1, 2**32])
+def test_below_rejects_bounds_outside_a_word(bound):
+    # A bound of 0 would redraw forever, and 2**32 needs a 33-bit word.
+    message = f"bound must be in (0, 2**32), got {bound}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _below(random.Random(0), bound, 3)
+
+
 def test_generate_equals_per_item_draws():
     for n in [*range(121), 10**5]:
         specs = [DatasetSpec("uniform", n, seed=n)] + [

@@ -13,7 +13,8 @@ module.  The count is deterministic for a given input and Python
 version.  Paths that differ only in the C functions they call, not in
 Python steps, are pinned by the calls those frames make to each C
 function, which ``sys.setprofile`` reports, or by the comparisons that
-keys of a counting class see.
+keys of a counting class see.  ``datagen``'s bulk draws are pinned the
+same way, by the C calls that pick their words.
 """
 
 import random
@@ -109,10 +110,10 @@ C_BUDGETS = [
 ]
 
 
-def c_calls(seq):
-    """Sort seq with ``bcis_sort`` and return a Counter of the calls that
-    frames of its module make to C functions, by qualified name."""
-    path = bcis_sort.__code__.co_filename
+def c_calls(func, *args):
+    """Call ``func(*args)`` and return a Counter of the calls that frames
+    of its module make to C functions, by qualified name."""
+    path = func.__code__.co_filename
     calls = Counter()
 
     def profile(frame, event, arg):
@@ -122,7 +123,7 @@ def c_calls(seq):
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        bcis_sort(seq)
+        func(*args)
     finally:
         sys.setprofile(previous)
     return calls
@@ -133,7 +134,34 @@ def c_calls(seq):
     [pytest.param(s, f, m, id=f"{s.kind}-{s.n}-{f}") for s, f, m in C_BUDGETS],
 )
 def test_c_calls_within_budget(spec, name, most):
-    assert c_calls(generate(spec))[name] <= most
+    assert c_calls(bcis_sort, generate(spec))[name] <= most
+
+
+#: (input, ``bytes.translate`` calls per round of draws).  ``_below``
+#: picks each round's words by translating their top bytes into a keep
+#: mask, and below 2**8 reads the values from the top bytes through a
+#: second table; per-word predicate calls (``filter``) or values taken
+#: from the words make fewer.  50 keeps no ties; 1,001's limit has low
+#: bits, so about one word in 256 is compared whole (412 measured on
+#: Python 3.11), and a mask that sent every word to that comparison
+#: would make one ``int.from_bytes`` call per word.
+DRAWS = [
+    (DatasetSpec("uniform", 2**14, seed=1), 1),
+    (DatasetSpec("k_distinct", 10**5, seed=1, k_param=50), 2),
+    (DatasetSpec("k_distinct", 10**5, seed=1, k_param=1001), 1),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, per_round",
+    [pytest.param(s, r, id=f"{s.kind}-{s.n}-{s.k_param}") for s, r in DRAWS],
+)
+def test_draws_pass_through_the_byte_mask(spec, per_round):
+    calls = c_calls(generate, spec)
+    rounds = calls["Random.getrandbits"]
+    assert rounds > 0
+    assert calls["bytes.translate"] == per_round * rounds
+    assert calls["int.from_bytes"] <= 2 * spec.n / 256
 
 
 class Key:

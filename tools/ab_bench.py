@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/ab_bench.py --parent ca169a9 --out BENCH_32.json
+    python3 tools/ab_bench.py --parent 839f218 --out BENCH_33.json
 
 Both sides run from fresh copies in a temporary directory: the parent
 from ``git archive``, the change from this working tree's ``src/``,
@@ -22,11 +22,11 @@ The record holds:
   each side's ``src/``) on each input of that test's ``BUDGETS``, by its
   ids, on each side;
 - ``kernel_ab``: each input's sort (``bcis_sort``, ``insertion_sort``,
-  ``quicksort_mo3``) of both sides loaded into one process and timed in
-  alternating pairs,
-  with their counters checked equal; per input the median seconds of
-  each side, the median and quartiles of the per-pair ratios (change
-  over parent) and the pairs the change won.
+  ``quicksort_mo3``), or its ``generate``, of both sides loaded into one
+  process and timed in alternating pairs, with their counters, or the
+  generated lists, checked equal; per input the median seconds of each
+  side, the median and quartiles of the per-pair ratios (change over
+  parent) and the pairs the change won.
 
 A full run takes about an hour on a 2-vCPU VM.
 """
@@ -65,8 +65,10 @@ SEED, CLAIM_SEED = 0, 17
 #: Alternating runs of gate criterion #7 per side.
 GATE_RUNS = 2
 
-#: (sort, kind, n, k, seeds, pairs per seed): the inputs of the kernel
-#: A/B; k is the k_param of ``k_distinct`` and None for other kinds.
+#: (function, kind, n, k, seeds, pairs per seed): the inputs of the
+#: kernel A/B; the function is a sort, or ``generate`` to time drawing the
+#: input itself; k is the k_param of ``k_distinct`` and None for other
+#: kinds.
 KERNEL_INPUTS = [
     *[("bcis_sort", "uniform", 2**e, None, (0, 1, 2), 11) for e in range(10, 15)],
     ("bcis_sort", "uniform", 2**15, None, (0, 1, 2), 5),
@@ -91,6 +93,9 @@ KERNEL_INPUTS = [
     ("quicksort_mo3", "equal", 10**5, None, (0,), 11),
     *[("quicksort_mo3", "uniform", 2**e, None, (0, 1), 7) for e in (14, 16)],
     ("quicksort_mo3", "uniform", 2**18, None, (0,), 5),
+    ("generate", "uniform", 2**14, None, (0, 1), 11),
+    ("generate", "uniform", 2**18, None, (0, 1), 7),
+    *[("generate", "k_distinct", 10**5, k, (0, 1), 11) for k in (5, 50, 1000)],
 ]
 
 
@@ -105,37 +110,45 @@ def _load(tree: Path, name: str):
     return mod
 
 
-def _timed(sort, data):
-    work = list(data)
+def _timed(func, arg):
     gc.disable()
     try:
         t0 = time.perf_counter()
-        stats = sort(work)
-        return time.perf_counter() - t0, stats
+        out = func(arg)
+        return time.perf_counter() - t0, out
     finally:
         gc.enable()
+
+
+def _call(mod, func: str, kind: str, n: int, seed: int, k, data):
+    """Time one sort of a copy of ``data``, or one ``generate``; return
+    the seconds and what the two sides must agree on."""
+    if func == "generate":
+        return _timed(mod.generate, mod.DatasetSpec(kind, n, seed=seed, k_param=k))
+    t, stats = _timed(getattr(mod, func), list(data))
+    return t, astuple(stats)
 
 
 def kernel_ab(parent: Path, change: Path) -> list:
     a, b = _load(parent, "sortlab_parent"), _load(change, "sortlab_change")
     rows = []
-    for sort, kind, n, k, seeds, pairs in KERNEL_INPUTS:
+    for func, kind, n, k, seeds, pairs in KERNEL_INPUTS:
         for seed in seeds:
             data = b.generate(b.DatasetSpec(kind, n, seed=seed, k_param=k))
             ta, tb = [], []
             for p in range(pairs):
                 sides = [(a, ta), (b, tb)] if p % 2 == 0 else [(b, tb), (a, ta)]
-                stats = []
+                outs = []
                 for mod, times in sides:
-                    t, s = _timed(getattr(mod, sort), data)
+                    t, out = _call(mod, func, kind, n, seed, k, data)
                     times.append(t)
-                    stats.append(astuple(s))
-                if stats[0] != stats[1]:
-                    raise SystemExit(
-                        f"{sort} counters differ on {kind} {n} k {k} seed {seed}: {stats}")
+                    outs.append(out)
+                if outs[0] != outs[1]:
+                    what = "outputs" if func == "generate" else f"counters {outs}"
+                    raise SystemExit(f"{func} {what} differ on {kind} {n} k {k} seed {seed}")
             ratios = [y / x for x, y in zip(ta, tb)]
             rows.append({
-                "sort": sort, "kind": kind, "n": n, "k": k, "seed": seed, "pairs": pairs,
+                "sort": func, "kind": kind, "n": n, "k": k, "seed": seed, "pairs": pairs,
                 "parent_s": round(statistics.median(ta), 5),
                 "change_s": round(statistics.median(tb), 5),
                 "median_ratio": round(statistics.median(ratios), 3),
